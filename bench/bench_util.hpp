@@ -90,37 +90,6 @@ inline std::vector<std::size_t> proc_sweep() {
   return ps;
 }
 
-/// Speculative-probe thread counts to sweep: `--threads <csv>` /
-/// `--threads=<csv>` (e.g. `--threads 1,2,4,8`), falling back to the
-/// LOCMPS_BENCH_THREADS environment variable, then to \p fallback. The
-/// sweep feeds SchedulerOptions::threads, which changes only planning
-/// wall-clock — every count yields bit-identical schedules
-/// (docs/parallelism.md), so the swept panels stay diffable.
-inline std::vector<std::size_t> thread_sweep(
-    int argc, char** argv, std::vector<std::size_t> fallback = {1, 4}) {
-  std::string spec;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc)
-      spec = argv[++i];
-    else if (arg.rfind("--threads=", 0) == 0)
-      spec = arg.substr(10);
-  }
-  if (spec.empty())
-    if (const char* env = std::getenv("LOCMPS_BENCH_THREADS"))
-      if (*env != '\0') spec = env;
-  if (spec.empty()) return fallback;
-  std::vector<std::size_t> counts;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    const std::size_t comma = std::min(spec.find(',', pos), spec.size());
-    const long v = std::atol(spec.substr(pos, comma - pos).c_str());
-    if (v > 0) counts.push_back(static_cast<std::size_t>(v));
-    pos = comma + 1;
-  }
-  return counts.empty() ? fallback : counts;
-}
-
 inline void banner(const std::string& what) {
   std::cout << "\n=== " << what << " ===\n";
   std::cout << "(relative performance = makespan(LoC-MPS) / makespan(scheme);"
@@ -471,8 +440,8 @@ namespace detail {
 
 /// Per-span-path samples across self-profiled reps. count/alloc columns
 /// come from the first rep and are cross-checked against later reps:
-/// they are deterministic (docs/parallelism.md), so a mismatch is a bug
-/// worth a warning, not an averaged-away detail.
+/// they are deterministic (tests/test_self_profile.cpp), so a mismatch is
+/// a bug worth a warning, not an averaged-away detail.
 struct ProfilePhase {
   std::uint64_t count = 0;
   std::uint64_t alloc_bytes = 0;

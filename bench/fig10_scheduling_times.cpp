@@ -7,10 +7,10 @@
 ///
 /// Every timed panel re-plans each cell LOCMPS_SCHED_REPS times (default
 /// 5) so the sched_seconds medians carry order-statistic CIs the
-/// scripts/bench_diff.py ratchet can gate on. Panel c additionally runs a
-/// from-scratch (incremental = false) companion at the reference thread
-/// count: the committed telemetry then contains both sides of the
-/// incremental-replanning speedup, which CI pins with
+/// scripts/bench_diff.py ratchet can gate on. Panel c plans a synthetic
+/// suite with LoC-MPS twice, incrementally and from scratch
+/// (incremental = false): the committed telemetry then contains both
+/// sides of the incremental-replanning speedup, which CI pins with
 /// `--speedup-gate` (an intra-document ratio, machine-independent).
 /// Panel d stresses planning on a |V| >= 2000 synthetic DAG under a
 /// bounded refinement budget (docs/incremental.md).
@@ -55,14 +55,10 @@ void panel(const char* name, const TaskGraph& g, const char* csv) {
   ratio.print(std::cout);
 }
 
-/// Planning-time scaling of the speculative LoC-MPS probe pool
-/// (docs/parallelism.md) on a suite of large synthetic DAGs, plus a
-/// from-scratch companion at the reference thread count that pins the
-/// incremental-replanning speedup. Every configuration produces
-/// bit-identical schedules, so the panels differ only in sched_seconds;
-/// the per-count panel labels keep scripts/bench_diff.py's
-/// (label, scheme, procs) join stable across runs.
-void thread_sweep_panel(const std::vector<std::size_t>& thread_counts) {
+/// LoC-MPS planning time on a suite of synthetic DAGs, incrementally and
+/// from scratch. Both produce bit-identical schedules, so the two panels
+/// differ only in sched_seconds.
+void incremental_panel() {
   const auto procs = bench::proc_sweep();
   std::vector<TaskGraph> graphs;
   SyntheticParams p;
@@ -72,60 +68,34 @@ void thread_sweep_panel(const std::vector<std::size_t>& thread_counts) {
   for (std::size_t i = 0; i < bench::suite_size(); ++i)
     graphs.push_back(make_synthetic_dag(p, rng));
 
-  std::cout << "\n=== Fig 10c: LoC-MPS planning time vs probe threads"
-            << " (synthetic suite, " << graphs.size() << " graphs) ===\n";
-  std::vector<Comparison> runs;
-  for (std::size_t t : thread_counts) {
-    SchedulerOptions so;
-    so.threads = t;
-    runs.push_back(compare_schemes(graphs, {"loc-mps"}, procs, kMyrinetBps,
-                                   true, {}, 1, so, bench::sched_reps()));
-    bench::telemetry().record(
-        "c (synthetic, threads=" + std::to_string(t) + ")", runs.back(),
-        graphs);
-  }
+  std::cout << "\n=== Fig 10c: LoC-MPS planning time, incremental vs"
+            << " from-scratch (synthetic suite, " << graphs.size()
+            << " graphs) ===\n";
+  const Comparison inc = compare_schemes(graphs, {"loc-mps"}, procs,
+                                         kMyrinetBps, true, {}, 1, {},
+                                         bench::sched_reps());
+  bench::telemetry().record("c (synthetic)", inc, graphs);
   // The from-scratch reference: identical schedules, every LoCBS
   // evaluation re-scanned in full. Its sched_seconds against the
   // incremental panel above is the replay speedup CI ratchets.
-  {
-    SchedulerOptions so;
-    so.threads = thread_counts.front();
-    so.incremental = false;
-    const Comparison scratch =
-        compare_schemes(graphs, {"loc-mps"}, procs, kMyrinetBps, true, {}, 1,
-                        so, bench::sched_reps());
-    bench::telemetry().record(
-        "c (synthetic, threads=" + std::to_string(thread_counts.front()) +
-            ", from-scratch)",
-        scratch, graphs);
-    std::cout << "\nIncremental replanning speedup (threads="
-              << thread_counts.front() << "):\n";
-    Table inc({"P", "from-scratch(s)", "incremental(s)", "speedup"});
-    for (std::size_t pi = 0; pi < procs.size(); ++pi) {
-      const double off = scratch.sched_seconds[pi][0];
-      const double on = runs.front().sched_seconds[pi][0];
-      inc.add_row({std::to_string(procs[pi]), fmt(off, 4), fmt(on, 4),
-                   fmt(on > 0 ? off / on : 0.0, 2)});
-    }
-    inc.print(std::cout);
-  }
+  SchedulerOptions so;
+  so.incremental = false;
+  const Comparison scratch =
+      compare_schemes(graphs, {"loc-mps"}, procs, kMyrinetBps, true, {}, 1,
+                      so, bench::sched_reps());
+  bench::telemetry().record("c (synthetic, from-scratch)", scratch, graphs);
 
-  Table t({"P", "threads", "sched(s)", "speedup", "makespan(s)"});
+  Table t({"P", "from-scratch(s)", "incremental(s)", "speedup",
+           "makespan(s)"});
   for (std::size_t pi = 0; pi < procs.size(); ++pi) {
-    const double base = runs.front().sched_seconds[pi][0];
-    for (std::size_t ti = 0; ti < thread_counts.size(); ++ti) {
-      const double st = runs[ti].sched_seconds[pi][0];
-      t.add_row({std::to_string(procs[pi]),
-                 std::to_string(thread_counts[ti]), fmt(st, 4),
-                 fmt(st > 0 ? base / st : 0.0, 2),
-                 fmt(runs[ti].makespan[pi][0], 2)});
-    }
+    const double off = scratch.sched_seconds[pi][0];
+    const double on = inc.sched_seconds[pi][0];
+    t.add_row({std::to_string(procs[pi]), fmt(off, 4), fmt(on, 4),
+               fmt(on > 0 ? off / on : 0.0, 2),
+               fmt(inc.makespan[pi][0], 2)});
   }
   t.print(std::cout);
   t.maybe_write_csv("fig10c.csv");
-  std::cout << "(speedup = sched time at threads=" << thread_counts.front()
-            << " / sched time at the row's count; schedules are"
-               " bit-identical across counts)\n";
 }
 
 /// Large-graph planning stress: one |V| >= 2000 synthetic DAG at the
@@ -179,7 +149,7 @@ int main(int argc, char** argv) {
   sp.max_procs = procs.back();
   panel("a (CCSD T1)", make_ccsd_t1(tp), "fig10a.csv");
   panel("b (Strassen 4096)", make_strassen(sp), "fig10b.csv");
-  thread_sweep_panel(bench::thread_sweep(argc, argv));
+  incremental_panel();
   large_graph_panel();
   bench::write_telemetry();
   bench::maybe_dump_obs(obs);

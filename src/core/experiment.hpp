@@ -53,9 +53,8 @@ struct SchemeRun {
 /// scheduler and the executor, and its snapshot lands in
 /// SchemeRun::counters. Pass \p sink to additionally stream the
 /// structured decision trace (JSONL via obs::JsonlSink) as it happens.
-/// \p sched_opt tunes the scheduler itself (e.g. speculative-probe
-/// threads for LoC-MPS-backed schemes); every setting produces the same
-/// schedule (see docs/parallelism.md), so results stay comparable.
+/// \p sched_opt tunes the scheduler itself (SchedulerOptions: incremental
+/// replanning, plan budget, slack, seeded perturbation).
 ///
 /// Pass \p profiler to self-profile the run: the planning, simulation,
 /// and analysis stages record hierarchical spans (harness.plan /

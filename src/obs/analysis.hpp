@@ -266,16 +266,10 @@ struct ScheduleAnalysis {
   /// straggler lanes.
   std::vector<SlowdownWindow> slowdown_windows;
 
-  /// Decision events discarded by a full EventBuffer during the run
-  /// ("obs.events.dropped", joined by join_event_health). Non-zero means
+  /// Decision events discarded by a bounded sink that hit its cap
+  /// ("obs.trace.dropped", joined by join_event_health). Non-zero means
   /// the decision trace is truncated; surfaced by locmps-inspect and the
   /// HTML report footer.
-  double events_dropped = 0.0;
-
-  /// Decision events discarded by a bounded JSONL sink that hit its line
-  /// cap ("obs.trace.dropped", joined by join_event_health). Non-zero
-  /// means the on-disk trace is truncated even though the in-memory
-  /// buffers kept up.
   double trace_dropped = 0.0;
 
   /// Blame entries with delay_s > 0, sorted by descending delay, at most
@@ -301,8 +295,7 @@ void join_perturb_stats(ScheduleAnalysis& a, const MetricsSnapshot& snap);
 /// Fills \p a.mitigation from the run's "mitigation.*" counters.
 void join_mitigation_stats(ScheduleAnalysis& a, const MetricsSnapshot& snap);
 
-/// Fills \p a.events_dropped / \p a.trace_dropped from the run's
-/// "obs.events.dropped" / "obs.trace.dropped" counters.
+/// Fills \p a.trace_dropped from the run's "obs.trace.dropped" counter.
 void join_event_health(ScheduleAnalysis& a, const MetricsSnapshot& snap);
 
 // ---------------------------------------------------------------------------

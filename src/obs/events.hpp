@@ -118,25 +118,19 @@ class JsonlSink final : public EventSink {
 /// exporter (quotes, backslashes, control characters).
 std::string json_escape(std::string_view in);
 
-/// Buffers events in memory for deferred, ordered replay. The parallel
-/// LoC-MPS probes record into one private EventBuffer each and the
-/// orchestrator replays the buffers into the session sink in candidate
-/// order after the batch barrier, so a threaded run's trace is identical
-/// to the sequential one (docs/parallelism.md).
-/// Thread-compatible like the registry: each speculative probe owns its
-/// private buffer; only the orchestrator (after the batch barrier) calls
-/// replay_into (schedulers/loc_mps.cpp, docs/parallelism.md).
+/// Buffers events in memory (tests, and callers that inspect a trace
+/// in process). Thread-compatible like the registry.
 ///
 /// Capacity is bounded at kMaxEvents: once full, further emits are
-/// counted in dropped() instead of growing the buffer without limit.
-/// The LoC-MPS orchestrator folds probe drop counts into the
-/// "obs.events.dropped" counter, which locmps-inspect and the HTML
-/// report footer surface so a truncated decision trace is never silent.
+/// counted in dropped() instead of growing the buffer without limit, so
+/// a truncated decision trace is never silent.
 class LOCMPS_THREAD_COMPATIBLE EventBuffer final : public EventSink {
  public:
   /// Retention bound, mirroring MetricsRegistry::kMaxSpans in spirit:
-  /// large enough for every workload in the test/bench suites, small
-  /// enough that a runaway emitter cannot exhaust memory.
+  /// small enough that a runaway emitter cannot exhaust memory. It is NOT
+  /// large enough for every traced plan: a LoC-MPS plan of a 50-task
+  /// synthetic DAG on 16 processors emits about 6 x 10^5 events. Callers
+  /// that need the whole stream must check dropped().
   static constexpr std::size_t kMaxEvents = 65536;
 
   void emit(const Event& e) override {
@@ -153,12 +147,6 @@ class LOCMPS_THREAD_COMPATIBLE EventBuffer final : public EventSink {
   void clear() {
     events_.clear();
     dropped_ = 0;
-  }
-
-  /// Re-emits every buffered event into \p sink, in emission order.
-  /// Dropped events are gone; the caller accounts for dropped().
-  void replay_into(EventSink& sink) const {
-    for (const Event& e : events_) sink.emit(e);
   }
 
  private:

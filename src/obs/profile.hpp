@@ -21,21 +21,13 @@
 ///
 /// Like MetricsRegistry, a Profiler is thread-COMPATIBLE, not
 /// thread-safe: exactly one thread records into a given profiler at a
-/// time. The parallel LoC-MPS probes each own a private Profiler inside
-/// their ProbeObs and the orchestrator merges the probe snapshots into
-/// the session profiler in candidate order after the batch barrier —
-/// the same reduction as metrics and events — so a threads=N profile
-/// reconciles with the threads=1 tree (identical span counts; see
-/// docs/parallelism.md and docs/observability.md).
+/// time.
 ///
 /// The profiler's own bookkeeping (node creation, interval records)
 /// runs with allocation counting paused, so span allocation deltas
-/// attribute only the instrumented code's allocations. Byte totals are
-/// exactly reproducible run-to-run at a fixed thread count; across
-/// thread counts they reconcile closely but not bit-exactly, because
-/// speculative probes start with cold container capacities and pay a
-/// few extra capacity-growth reallocations (span counts, by contrast,
-/// are bit-identical — tests/test_self_profile.cpp).
+/// attribute only the instrumented code's allocations. Span counts and
+/// byte totals are exactly reproducible run to run
+/// (tests/test_self_profile.cpp).
 
 #include <cstddef>
 #include <cstdint>
@@ -145,10 +137,7 @@ class LOCMPS_THREAD_COMPATIBLE Profiler {
   /// aggregates keep accumulating after the cap, intervals stop.
   static constexpr std::size_t kMaxIntervals = 16384;
 
-  /// \p record_intervals: keep the per-occurrence interval log (session
-  /// profilers) or aggregates only (probe/scratch profilers — their
-  /// intervals would be dropped at merge anyway).
-  explicit Profiler(bool record_intervals = true);
+  Profiler();
   ~Profiler();
 
   Profiler(const Profiler&) = delete;
@@ -176,12 +165,6 @@ class LOCMPS_THREAD_COMPATIBLE Profiler {
 
   /// Seconds since this profiler's construction (interval timebase).
   double now() const { return epoch_.seconds(); }
-
-  /// Grafts \p snap's aggregate tree under the innermost open span (the
-  /// root when none is open), adding counts/times/bytes node by node.
-  /// Intervals are NOT transferred — they are relative to the donor's
-  /// epoch (same rule as MetricsRegistry::merge_from and timer spans).
-  void merge_from(const ProfileSnapshot& snap);
 
   /// Deep copy of the aggregate tree + interval log. Open spans have
   /// not contributed yet (they record on close).
@@ -219,7 +202,6 @@ class LOCMPS_THREAD_COMPATIBLE Profiler {
   }
   void open_span(std::string_view name);
   void close_span();
-  static void merge_node(Node& into, const ProfileNode& from);
   static void copy_node(const Node& from, std::string_view name,
                         ProfileNode& out);
 
@@ -227,7 +209,6 @@ class LOCMPS_THREAD_COMPATIBLE Profiler {
   std::vector<Frame> stack_;
   std::vector<ProfileInterval> intervals_;
   std::uint64_t intervals_dropped_ = 0;
-  bool record_intervals_ = true;
   Stopwatch epoch_;
 };
 

@@ -45,8 +45,8 @@ void ShortlistRecorder::offer(ProvCandidate c) {
   for (const ProvCandidate& e : entries_)
     if (e.same_slot(c)) return;  // rescored at a later probe instant
   // Stable insertion by finish: among equal finishes the earlier-scored
-  // candidate keeps the lower index (deterministic at any thread count —
-  // the scan order itself is deterministic).
+  // candidate keeps the lower index (deterministic: the scan order
+  // itself is).
   auto it = entries_.begin();
   while (it != entries_.end() && !(c.finish < it->finish)) ++it;
   entries_.insert(it, std::move(c));

@@ -696,10 +696,6 @@ void write_html_report(std::ostream& os, const TaskGraph& g,
   os << "<p class=\"footer\">Generated by locmps schedule analytics "
         "(docs/observability.md). "
      << a.num_tasks << " tasks on " << a.num_procs << " processors.";
-  if (a.events_dropped > 0.0)
-    os << " WARNING: " << fmt(a.events_dropped, 0)
-       << " decision event(s) dropped by a full EventBuffer — the trace "
-          "is truncated.";
   if (a.trace_dropped > 0.0)
     os << " WARNING: " << fmt(a.trace_dropped, 0)
        << " decision event(s) dropped at the JSONL sink's line cap — the "
@@ -777,9 +773,6 @@ std::string text_report(const ScheduleAnalysis& a) {
        << fmt(a.backfill.tasks_placed, 0) << " placements backfilled ("
        << pct(a.backfill.hit_rate) << "), " << fmt(a.backfill.holes_scanned, 0)
        << " holes scanned, prune rate " << pct(a.backfill.prune_rate) << "\n";
-  if (a.events_dropped > 0.0)
-    os << "events          WARNING: " << fmt(a.events_dropped, 0)
-       << " decision event(s) dropped (EventBuffer overflow)\n";
   if (a.trace_dropped > 0.0)
     os << "trace           WARNING: " << fmt(a.trace_dropped, 0)
        << " decision event(s) dropped (JSONL sink line cap)\n";

@@ -15,9 +15,9 @@
 /// (LocMPSOptions::incremental = false) never consults this context and
 /// serves as the differential-equivalence oracle (tests/test_incremental).
 ///
-/// One IncrementalContext serves one evaluation stream: the sequential
-/// planner owns one, and every speculative probe owns its own, so no
-/// locking is needed and replay decisions stay bit-deterministic.
+/// One IncrementalContext serves one evaluation stream (one LoC-MPS
+/// run), so no locking is needed and replay decisions stay
+/// bit-deterministic.
 
 #include <cstdint>
 #include <memory>
@@ -90,7 +90,7 @@ struct PriorityState {
   std::vector<char> et_changed, bottom_changed, prio_dirty, edge_seen;
 };
 
-/// Replay/memo state of one evaluation stream. Not thread-safe by design;
+/// Replay state of one evaluation stream. Not thread-safe by design;
 /// see the file comment.
 class IncrementalContext {
  public:

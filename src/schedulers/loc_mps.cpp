@@ -1,24 +1,16 @@
 #include "schedulers/loc_mps.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <exception>
-#include <map>
-#include <memory>
 #include <optional>
-#include <thread>
 #include <tuple>
 #include <utility>
 
 #include "graph/algorithms.hpp"
+#include "obs/log.hpp"
 #include "obs/profile.hpp"
 #include "schedulers/incremental.hpp"
-#include "util/annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace locmps {
 
@@ -32,13 +24,9 @@ struct EntryPoint {
   EdgeId edge = kNoEdge;
 };
 
-/// A precomputed iteration-0 refinement: the entry point selected on the
-/// incumbent's critical path under a given marks state, the allocation
-/// after its widening, and the critical-path diagnosis that chose it. The
-/// speculative batch predictor derives one per look-ahead round without
-/// any LoCBS evaluation (round j's marks assume rounds 0..j-1 failed).
-struct FirstStep {
-  Allocation np;
+/// One refinement (Alg. 1 steps 8-14 / 19-29): the critical-path diagnosis
+/// that chose it and the task or edge it widened.
+struct Refinement {
   EntryPoint ep;
   bool widened_src = false;
   bool widened_dst = false;
@@ -53,75 +41,10 @@ struct FirstStep {
 /// whether it beat the incumbent it started from.
 struct WalkResult {
   bool improved = false;
-  bool aborted = false;  ///< stopped early because an earlier probe won
   Allocation alloc;
   double sl = 0.0;
   std::size_t used = 0;
 };
-
-/// Private observability of one speculative probe: a registry and an event
-/// buffer the orchestrator merges into the session context in candidate
-/// order after the batch barrier (docs/parallelism.md).
-struct ProbeObs {
-  obs::MetricsRegistry reg;
-  obs::EventBuffer buf;
-  // Aggregates only: probe intervals would be dropped at merge anyway
-  // (their epoch is not the session profiler's).
-  obs::Profiler prof{/*record_intervals=*/false};
-  obs::ObsContext ctx;
-  // Private replay stream (docs/incremental.md): a walk's successive
-  // allocations differ by one task, so within-probe replay thrives while
-  // staying lock-free.
-  IncrementalContext incr;
-};
-
-/// Purity-backed memo shared by the speculative probes: with (graph, comm
-/// model, options, prefix) fixed for a run, locbs() is a pure function of
-/// the allocation, so repeated probe allocations replay the cached result
-/// and its counter deltas instead of recomputing (docs/parallelism.md).
-/// Concurrently consulted by pool workers; every access goes through the
-/// annotated lock so -Wthread-safety proves the discipline.
-class ProbeMemo {
- public:
-  struct Entry {
-    // Immutable once stored; shared by pointer so a hit costs a refcount
-    // bump instead of a schedule + DAG deep copy.
-    std::shared_ptr<const LocBSResult> result;
-    obs::MetricsSnapshot deltas;
-    obs::ProfileSnapshot profile;
-  };
-
-  /// The cached entry for \p np, or null on a miss. Entries are immutable
-  /// once stored, so a hit shares the stored entry by pointer instead of
-  /// copying its result and telemetry snapshots under the lock.
-  std::shared_ptr<const Entry> lookup(const Allocation& np)
-      LOCMPS_EXCLUDES(mu_) {
-    const MutexLock lk(mu_);
-    const auto it = entries_.find(np);
-    if (it == entries_.end()) return nullptr;
-    return it->second;
-  }
-
-  /// Inserts \p e for \p np; wholesale eviction at the cap bounds memory.
-  void store(const Allocation& np, Entry e) LOCMPS_EXCLUDES(mu_) {
-    const MutexLock lk(mu_);
-    if (entries_.size() >= kCap) entries_.clear();
-    entries_.emplace(np, std::make_shared<const Entry>(std::move(e)));
-  }
-
- private:
-  static constexpr std::size_t kCap = 4096;
-  Mutex mu_;
-  std::map<Allocation, std::shared_ptr<const Entry>> entries_
-      LOCMPS_GUARDED_BY(mu_);
-};
-
-/// Worker count: the option, with 0 meaning one per hardware thread.
-std::size_t resolve_threads(std::size_t requested) {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw != 0 ? hw : 1;
-}
 
 }  // namespace
 
@@ -150,8 +73,6 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   if (met != nullptr)
     comm.count_evals_into(met->cell_ptr("comm.cost_evals"));
   const ConcurrencyAnalysis conc(g);
-  // Search tracing for development; enable with LOCMPS_DEBUG=1.
-  const bool debug = std::getenv("LOCMPS_DEBUG") != nullptr;
 
   // On a degraded cluster (faults/recovery.hpp) non-frozen tasks can only
   // be as wide as the survivor set.
@@ -194,12 +115,15 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   const bool incr_on =
       opt_.incremental && !obs::wants_events(obs) && prof == nullptr;
   IncrementalContext session_incr;
-  IncrementalContext* const sincr = incr_on ? &session_incr : nullptr;
+  IncrementalContext* const incr = incr_on ? &session_incr : nullptr;
 
-  std::shared_ptr<const LocBSResult> best_run =
-      std::make_shared<const LocBSResult>(
-          locbs(g, best_alloc, comm, lopt, fixed, obs, sincr));
-  double best_sl = best_run->makespan;
+  // Every LoCBS evaluation of the refinement search funnels through here.
+  auto eval_locbs = [&](const Allocation& np) {
+    return locbs(g, np, comm, lopt, fixed, obs, incr);
+  };
+
+  LocBSResult best_run = eval_locbs(best_alloc);
+  double best_sl = best_run.makespan;
   std::size_t calls = 1;
   if (obs::wants_events(obs))
     obs->sink->emit(obs::Event("locmps.begin")
@@ -214,15 +138,13 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
 
   // Chooses the best candidate task on the critical path: among the
   // top fraction by execution-time gain, the one with the lowest
-  // concurrency ratio (Section III-C). Takes the marks state explicitly so
-  // speculative probes can run it against their own snapshot.
+  // concurrency ratio (Section III-C).
   auto pick_task = [&](const CriticalPathInfo& cp, const Allocation& np,
-                       const std::vector<char>& mtask,
                        bool respect_marks) -> TaskId {
     std::vector<TaskId> cand;
     for (TaskId t : cp.tasks) {
       if (np[t] >= cap[t]) continue;
-      if (respect_marks && mtask[t]) continue;
+      if (respect_marks && marked_task[t]) continue;
       cand.push_back(t);
     }
     if (cand.empty()) return kNoTask;
@@ -250,13 +172,12 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   // Chooses the heaviest refinable communication edge on the critical path
   // (Section III-D). Returns kNoEdge if none qualifies.
   auto pick_edge = [&](const CriticalPathInfo& cp, const ScheduleDag& dag,
-                       const Allocation& np, const std::vector<char>& medge,
-                       bool respect_marks) -> EdgeId {
+                       const Allocation& np, bool respect_marks) -> EdgeId {
     EdgeId best = kNoEdge;
     double best_w = 0.0;
     for (EdgeId e : cp.edges) {
       if (e == kNoEdge) continue;  // pseudo-edge
-      if (respect_marks && medge[e]) continue;
+      if (respect_marks && marked_edge[e]) continue;
       const Edge& ed = g.edge(e);
       if (np[ed.src] >= ecap(ed.src) && np[ed.dst] >= ecap(ed.dst)) continue;
       const double w = dag.edge_time(e);
@@ -288,219 +209,97 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   };
 
   const bool comm_aware = !opt_.locbs.comm_blind;
-  const std::size_t n_threads = resolve_threads(opt_.threads);
-  const bool speculative = n_threads > 1;
 
-  // Probe memo (see ProbeMemo above). Events cannot be replayed from a
-  // cache without reordering them, so the memo stands down whenever a
-  // sink is attached. Speculative runs always use it; sequential runs use
-  // it when incremental replanning is on (repeated allocations — notably
-  // the per-round re-realization — then replay instead of recomputing),
-  // and fall back to the untouched reference path otherwise.
-  ProbeMemo memo;
-  const bool memo_enabled =
-      (speculative || incr_on) && !obs::wants_events(obs);
-
-  // Every LoCBS evaluation funnels through here. \p wobs / \p wcomm /
-  // \p wincr are the caller's observability context, its comm model, and
-  // its incremental replay stream (the session's on the direct path, a
-  // probe's own on a speculative walk).
-  auto eval_locbs = [&](const Allocation& np, obs::ObsContext* wobs,
-                        const CommModel& wcomm, IncrementalContext* wincr)
-      -> std::shared_ptr<const LocBSResult> {
-    if (!memo_enabled)
-      return std::make_shared<const LocBSResult>(
-          locbs(g, np, wcomm, lopt, fixed, wobs, wincr));
-    obs::MetricsRegistry* const wmet = obs::metrics_of(wobs);
-    obs::Profiler* const wprof = obs::profiler_of(wobs);
-    if (std::shared_ptr<const ProbeMemo::Entry> hit = memo.lookup(np)) {
-      if (wmet != nullptr) {
-        wmet->merge_from(hit->deltas);
-        if (wincr != nullptr) wmet->add("incr.cache_hits");
-      }
-      // Replaying the cached span deltas keeps the threaded span tree's
-      // counts bit-identical to the sequential tree (the cached wall/CPU
-      // times are the miss run's actuals).
-      if (wprof != nullptr) wprof->merge_from(hit->profile);
-      return hit->result;
-    }
-    if (wmet == nullptr && wprof == nullptr)
-      return std::make_shared<const LocBSResult>(
-          locbs(g, np, wcomm, lopt, fixed, nullptr, wincr));
-    // Miss with metrics/profiling on: run under scratch observability so
-    // this call's exact counter/timer/span deltas can be captured for
-    // replay on later hits, then fold them into the caller's context.
-    obs::MetricsRegistry scratch;
-    obs::Profiler sprof(/*record_intervals=*/false);
-    obs::ObsContext sctx{wmet != nullptr ? &scratch : nullptr, nullptr,
-                         wprof != nullptr ? &sprof : nullptr};
-    CommModel scomm(cluster);
-    if (wmet != nullptr)
-      scomm.count_evals_into(scratch.cell_ptr("comm.cost_evals"));
-    auto res = std::make_shared<const LocBSResult>(
-        locbs(g, np, scomm, lopt, fixed, &sctx, wincr));
-    ProbeMemo::Entry e{res, scratch.snapshot(), sprof.snapshot()};
-    if (wmet != nullptr) wmet->merge_from(e.deltas);
-    if (wprof != nullptr) wprof->merge_from(e.profile);
-    memo.store(np, std::move(e));
-    return res;
-  };
-
-  // Replicates a walk's iteration-0 selection (Alg. 1 steps 8-14) against
-  // the given marks state without evaluating it. Returns false when
-  // nothing on the critical path is refinable.
-  auto first_step = [&](const CriticalPathInfo& cp, const ScheduleDag& dag,
-                        const std::vector<char>& mtask,
-                        const std::vector<char>& medge,
-                        FirstStep& fs) -> bool {
-    fs.np = best_alloc;
-    fs.cp_len = cp.length;
-    fs.comp_cost = cp.comp_cost;
-    fs.comm_cost = cp.comm_cost;
-    fs.comp_dominates = !comm_aware || cp.comp_cost >= cp.comm_cost;
+  // One refinement of \p np against the critical path \p cp of \p dag:
+  // widens the pick of the dominating-cost branch, falling back to the
+  // other branch, so a step is only abandoned when nothing is refinable
+  // (then returns nothing and leaves \p np untouched).
+  auto refine = [&](const CriticalPathInfo& cp, const ScheduleDag& dag,
+                    Allocation& np,
+                    bool respect_marks) -> std::optional<Refinement> {
+    Refinement rf;
+    rf.cp_len = cp.length;
+    rf.comp_cost = cp.comp_cost;
+    rf.comm_cost = cp.comm_cost;
+    rf.comp_dominates = !comm_aware || cp.comp_cost >= cp.comm_cost;
     for (int attempt = 0; attempt < 2; ++attempt) {
-      const bool task_branch = (attempt == 0) == fs.comp_dominates;
+      const bool task_branch = (attempt == 0) == rf.comp_dominates;
       if (task_branch) {
-        const TaskId t = pick_task(cp, fs.np, mtask, /*respect_marks=*/true);
+        const TaskId t = pick_task(cp, np, respect_marks);
         if (t != kNoTask) {
-          fs.np[t] += 1;
-          fs.ep = EntryPoint{true, t, kNoEdge};
-          return true;
+          np[t] += 1;
+          rf.ep = EntryPoint{true, t, kNoEdge};
+          return rf;
         }
       } else if (comm_aware) {
-        const EdgeId e = pick_edge(cp, dag, fs.np, medge, true);
+        const EdgeId e = pick_edge(cp, dag, np, respect_marks);
         if (e != kNoEdge) {
-          std::tie(fs.widened_src, fs.widened_dst) = widen_edge(e, fs.np);
-          fs.ep = EntryPoint{false, kNoTask, e};
-          return true;
+          std::tie(rf.widened_src, rf.widened_dst) = widen_edge(e, np);
+          rf.ep = EntryPoint{false, kNoTask, e};
+          return rf;
         }
       }
     }
-    return false;
+    return std::nullopt;
   };
 
-  // One look-ahead walk (Alg. 1 steps 15-30) from a precomputed first
-  // step. Reads only const shared state plus its own marks snapshot and
-  // records through \p wobs / \p wcomm, so it is safe to run as a
-  // speculative probe on a pool worker. \p race, when given, carries the
-  // lowest improving candidate index: the walk publishes its own index on
-  // first adoption and aborts once a lower index is published (its results
-  // are then discarded by the candidate-order reduction anyway).
-  auto run_walk = [&](const FirstStep& fs, std::size_t round_no,
-                      const std::vector<char>& mtask,
-                      const std::vector<char>& medge, double start_best,
-                      const Allocation& base_alloc, std::size_t budget,
-                      obs::ObsContext* wobs, const CommModel& wcomm,
-                      IncrementalContext* wincr, std::size_t probe_index,
-                      std::atomic<std::size_t>* race) -> WalkResult {
-    obs::MetricsRegistry* const wmet = obs::metrics_of(wobs);
-    // One span per look-ahead round. Sequentially it nests under
-    // locmps.run; on a probe it is the probe profiler's root span and the
-    // candidate-order merge grafts it back under locmps.run.
-    LOCMPS_SPAN(wobs, "locmps.walk");
+  // One look-ahead walk (Alg. 1 steps 15-30) whose first refinement
+  // \p first already widened \p np. Explores up to look_ahead_depth
+  // refinements, or \p budget LoCBS evaluations, adopting every strict
+  // improvement over the incumbent.
+  auto walk = [&](std::size_t round_no, Allocation np,
+                  const Refinement& first, std::size_t budget) -> WalkResult {
+    LOCMPS_SPAN(obs, "locmps.walk");
     WalkResult r;
-    r.alloc = base_alloc;
-    r.sl = start_best;
-    Allocation np = base_alloc;
-    if (obs::wants_events(wobs))
-      wobs->sink->emit(obs::Event("locmps.lookahead_begin")
+    r.alloc = best_alloc;
+    r.sl = best_sl;
+    if (obs::wants_events(obs))
+      obs->sink->emit(obs::Event("locmps.lookahead_begin")
                           .with("round", static_cast<std::uint64_t>(round_no))
-                          .with("best", start_best));
-    std::shared_ptr<const LocBSResult> cur;
+                          .with("best", best_sl));
+    std::optional<LocBSResult> cur;
+    Refinement rf = first;
     for (std::size_t iter = 0; iter < opt_.look_ahead_depth; ++iter) {
-      if (race != nullptr && iter > 0 &&
-          race->load(std::memory_order_relaxed) < probe_index) {
-        r.aborted = true;
-        break;
-      }
-      EntryPoint ep;
-      bool widened_src = false, widened_dst = false;
-      double cp_len, comp_cost, comm_cost;
-      bool comp_dominates;
-      if (iter == 0) {
-        ep = fs.ep;
-        widened_src = fs.widened_src;
-        widened_dst = fs.widened_dst;
-        cp_len = fs.cp_len;
-        comp_cost = fs.comp_cost;
-        comm_cost = fs.comm_cost;
-        comp_dominates = fs.comp_dominates;
-        np = fs.np;
-      } else {
+      if (iter > 0) {
         CriticalPathInfo cp;
         {
-          obs::ScopedTimer cp_timer(wmet, "locmps.critical_path");
-          LOCMPS_SPAN(wobs, "locmps.critical_path");
+          obs::ScopedTimer cp_timer(met, "locmps.critical_path");
+          LOCMPS_SPAN(obs, "locmps.critical_path");
           cp = cur->dag.critical_path();
         }
-        comp_dominates = !comm_aware || cp.comp_cost >= cp.comm_cost;
-        cp_len = cp.length;
-        comp_cost = cp.comp_cost;
-        comm_cost = cp.comm_cost;
-        const bool respect_marks = opt_.marks_bind_lookahead;
-        bool refined = false;
-        // Try the dominating-cost branch first, the other as a fallback,
-        // so a look-ahead step is only abandoned when nothing is
-        // refinable.
-        for (int attempt = 0; attempt < 2 && !refined; ++attempt) {
-          const bool task_branch = (attempt == 0) == comp_dominates;
-          if (task_branch) {
-            const TaskId t = pick_task(cp, np, mtask, respect_marks);
-            if (t != kNoTask) {
-              np[t] += 1;
-              ep = EntryPoint{true, t, kNoEdge};
-              refined = true;
-            }
-          } else if (comm_aware) {
-            const EdgeId e = pick_edge(cp, cur->dag, np, medge,
-                                       respect_marks);
-            if (e != kNoEdge) {
-              std::tie(widened_src, widened_dst) = widen_edge(e, np);
-              ep = EntryPoint{false, kNoTask, e};
-              refined = true;
-            }
-          }
-        }
-        if (!refined) break;
+        const std::optional<Refinement> next =
+            refine(cp, cur->dag, np, opt_.marks_bind_lookahead);
+        if (!next) break;
+        rf = *next;
       }
-      if (wmet != nullptr)
-        wmet->add(ep.is_task ? "locmps.widened_tasks"
-                             : "locmps.widened_edges");
+      const EntryPoint& ep = rf.ep;
+      if (met != nullptr)
+        met->add(ep.is_task ? "locmps.widened_tasks"
+                            : "locmps.widened_edges");
 
-      cur = eval_locbs(np, wobs, wcomm, wincr);
+      cur.emplace(eval_locbs(np));
       ++r.used;
       const bool adopted = cur->makespan < r.sl;
       if (adopted) {
         r.alloc = np;
         r.sl = cur->makespan;
-        if (!r.improved) {
-          r.improved = true;
-          if (race != nullptr) {
-            // Publish the lowest improving index (fetch-min) so probes of
-            // later candidates can stop wasting work.
-            std::size_t prev = race->load(std::memory_order_relaxed);
-            while (prev > probe_index &&
-                   !race->compare_exchange_weak(prev, probe_index,
-                                                std::memory_order_relaxed)) {
-            }
-          }
-        }
+        r.improved = true;
       }
-      if (obs::wants_events(wobs)) {
+      if (obs::wants_events(obs)) {
         // One event per refinement: the critical-path diagnosis, the
         // widening decision, and its outcome. Together with
         // locmps.lookahead_begin these replay into the final allocation
         // (tests/test_obs_events.cpp reconstructs it).
         if (ep.is_task) {
           const TaskId t = ep.task;
-          wobs->sink->emit(
+          obs->sink->emit(
               obs::Event("locmps.refine")
                   .with("round", static_cast<std::uint64_t>(round_no))
                   .with("iter", static_cast<std::uint64_t>(iter))
-                  .with("cp_len", cp_len)
-                  .with("comp_cost", comp_cost)
-                  .with("comm_cost", comm_cost)
-                  .with("dominant", comp_dominates ? "comp" : "comm")
+                  .with("cp_len", rf.cp_len)
+                  .with("comp_cost", rf.comp_cost)
+                  .with("comm_cost", rf.comm_cost)
+                  .with("dominant", rf.comp_dominates ? "comp" : "comm")
                   .with("kind", "task")
                   .with("task", t)
                   .with("np_new", static_cast<std::uint64_t>(np[t]))
@@ -512,14 +311,14 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
                   .with("best", r.sl));
         } else {
           const Edge& ed = g.edge(ep.edge);
-          wobs->sink->emit(
+          obs->sink->emit(
               obs::Event("locmps.refine")
                   .with("round", static_cast<std::uint64_t>(round_no))
                   .with("iter", static_cast<std::uint64_t>(iter))
-                  .with("cp_len", cp_len)
-                  .with("comp_cost", comp_cost)
-                  .with("comm_cost", comm_cost)
-                  .with("dominant", comp_dominates ? "comp" : "comm")
+                  .with("cp_len", rf.cp_len)
+                  .with("comp_cost", rf.comp_cost)
+                  .with("comm_cost", rf.comm_cost)
+                  .with("dominant", rf.comp_dominates ? "comp" : "comm")
                   .with("kind", "edge")
                   .with("edge", ep.edge)
                   .with("src", ed.src)
@@ -528,8 +327,8 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
                         static_cast<std::uint64_t>(np[ed.src]))
                   .with("dst_np_new",
                         static_cast<std::uint64_t>(np[ed.dst]))
-                  .with("widened_src", widened_src)
-                  .with("widened_dst", widened_dst)
+                  .with("widened_src", rf.widened_src)
+                  .with("widened_dst", rf.widened_dst)
                   .with("makespan", cur->makespan)
                   .with("adopted", adopted)
                   .with("best", r.sl));
@@ -544,15 +343,14 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   // 31-38): updates the incumbent and the marks, bumps the round counters,
   // and emits the round's locmps.lookahead event.
   auto finish_round = [&](std::size_t round_no, const EntryPoint& entry,
-                          double old_sl, const WalkResult& w,
-                          std::size_t calls_now) {
+                          double old_sl, const WalkResult& w) {
     const bool improved = w.improved;
-    if (debug)
-      std::fprintf(stderr,
-                   "loc-mps: old=%.6f best=%.6f %s entry=%s%u calls=%zu\n",
-                   old_sl, w.sl, improved ? "commit" : "mark",
-                   entry.is_task ? "t" : "e",
-                   entry.is_task ? entry.task : entry.edge, calls_now);
+    if (obs::log_enabled(obs::LogLevel::kDebug))
+      obs::log(obs::LogLevel::kDebug, "loc-mps")
+          << "old=" << old_sl << " best=" << w.sl << ' '
+          << (improved ? "commit" : "mark") << " entry="
+          << (entry.is_task ? 't' : 'e')
+          << (entry.is_task ? entry.task : entry.edge) << " calls=" << calls;
     if (!improved) {
       // Failed look-ahead: remember the entry point as a bad start.
       if (entry.is_task)
@@ -587,223 +385,57 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   // Termination test (Alg. 1 step 40): every critical-path task saturated
   // or marked, and (when comm-aware) every refinable path edge marked.
   auto exhausted_now = [&]() -> bool {
-    const CriticalPathInfo cp = best_run->dag.critical_path();
-    bool exhausted = true;
-    for (TaskId t : cp.tasks) {
-      if (best_alloc[t] < cap[t] && !marked_task[t]) {
-        exhausted = false;
-        break;
-      }
+    const CriticalPathInfo cp = best_run.dag.critical_path();
+    for (TaskId t : cp.tasks)
+      if (best_alloc[t] < cap[t] && !marked_task[t]) return false;
+    if (!comm_aware) return true;
+    for (EdgeId e : cp.edges) {
+      if (e == kNoEdge) continue;
+      const Edge& ed = g.edge(e);
+      if (marked_edge[e] || best_run.dag.edge_time(e) <= 0.0) continue;
+      if (best_alloc[ed.src] < ecap(ed.src) ||
+          best_alloc[ed.dst] < ecap(ed.dst))
+        return false;
     }
-    if (exhausted && comm_aware) {
-      for (EdgeId e : cp.edges) {
-        if (e == kNoEdge) continue;
-        const Edge& ed = g.edge(e);
-        if (marked_edge[e] || best_run->dag.edge_time(e) <= 0.0) continue;
-        if (best_alloc[ed.src] < ecap(ed.src) ||
-            best_alloc[ed.dst] < ecap(ed.dst)) {
-          exhausted = false;
-          break;
-        }
-      }
-    }
-    return exhausted;
+    return true;
   };
 
-  std::optional<ThreadPool> pool;
-  if (speculative) {
-    pool.emplace(n_threads);
-    if (met != nullptr)
-      met->set("locmps.parallel.threads", static_cast<double>(n_threads));
-  }
-
-  // Main repeat-until loop (Alg. 1 steps 5-40). Sequentially this runs one
-  // look-ahead round per iteration; with threads > 1 it predicts the entry
-  // chain of the next `k` rounds (each assuming its predecessors fail),
-  // fans the walks out as speculative probes, and reduces the results in
-  // candidate order with the exact sequential tie-breaking — the first
-  // strictly-better candidate in enumeration order wins and everything
-  // after it is discarded as misspeculation (docs/parallelism.md).
+  // Main repeat-until loop (Alg. 1 steps 5-40): one look-ahead round per
+  // iteration, entered at the incumbent's critical path with the marks
+  // binding, then commit-or-mark and a re-realization of the incumbent.
   std::size_t round = 0;
-  const std::size_t per_round = opt_.look_ahead_depth + 1;
-  std::size_t fanout = 1;  // adaptive: reset to 1 on a commit, doubled on
-                           // fully-failed batches, capped at n_threads
   while (calls < opt_.max_locbs_calls) {
-    std::size_t k = speculative ? std::min(fanout, n_threads) : 1;
-    // A speculative batch needs budget for k full walks plus their
-    // re-realizations; when the remaining budget cannot absorb that, fall
-    // back to a single round carrying the exact sequential budget so
-    // budget-capped runs match threads = 1 bit for bit.
-    if (k > 1 && opt_.max_locbs_calls - calls < k * per_round + 1) k = 1;
-
-    CriticalPathInfo cp0;
+    CriticalPathInfo cp;
     {
       obs::ScopedTimer cp_timer(met, "locmps.critical_path");
-      cp0 = best_run->dag.critical_path();
+      cp = best_run.dag.critical_path();
     }
-
-    // Predict the entry chain: round j's entry point assumes rounds
-    // 0..j-1 of the batch fail and mark their entries.
-    std::vector<FirstStep> steps;
-    std::vector<std::vector<char>> mtask_at, medge_at;
-    {
-      std::vector<char> pmt = marked_task, pme = marked_edge;
-      for (std::size_t j = 0; j < k; ++j) {
-        FirstStep fs;
-        if (!first_step(cp0, best_run->dag, pmt, pme, fs)) break;
-        mtask_at.push_back(pmt);
-        medge_at.push_back(pme);
-        const EntryPoint ep = fs.ep;
-        steps.push_back(std::move(fs));
-        if (ep.is_task)
-          pmt[ep.task] = 1;
-        else
-          pme[ep.edge] = 1;
-      }
-    }
-    if (steps.empty()) {
+    ++round;
+    Allocation np = best_alloc;
+    const std::optional<Refinement> first =
+        refine(cp, best_run.dag, np, /*respect_marks=*/true);
+    if (!first) {
       // Nothing on the critical path is refinable: the final round opens
-      // and immediately ends (matching the sequential event stream).
-      ++round;
+      // and immediately ends.
       if (obs::wants_events(obs))
         obs->sink->emit(obs::Event("locmps.lookahead_begin")
                             .with("round", static_cast<std::uint64_t>(round))
                             .with("best", best_sl));
       break;
     }
-
-    const std::size_t kk = steps.size();
-    bool stop = false;
-    bool committed = false;
-    if (kk == 1) {
-      // Direct path: one round recording straight into the session
-      // context, exactly the sequential reference algorithm.
-      ++round;
-      const double old_sl = best_sl;
-      const WalkResult w = run_walk(
-          steps[0], round, mtask_at[0], medge_at[0], best_sl, best_alloc,
-          opt_.max_locbs_calls - calls, obs, comm, sincr, 0, nullptr);
-      calls += w.used;
-      finish_round(round, steps[0].ep, old_sl, w, calls);
-      // Re-realize the best allocation (unchanged allocations keep their
-      // schedule); its critical path drives termination.
-      best_run = eval_locbs(best_alloc, obs, comm, sincr);
-      ++calls;
-      if (met != nullptr) {
-        met->sample("locmps.best_makespan", best_sl);
-        met->sample("locmps.locbs_calls", static_cast<double>(calls));
-      }
-      committed = w.improved;
-      stop = exhausted_now();
-    } else {
-      if (met != nullptr) {
-        met->add("locmps.parallel.batches");
-        met->add("locmps.parallel.probes", static_cast<double>(kk));
-      }
-      const Stopwatch batch_sw;
-      const std::size_t round_base = round;
-      const double start_best = best_sl;
-      std::atomic<std::size_t> first_improved{kk};  // kk = none yet
-      std::vector<WalkResult> results(kk);
-      std::vector<std::unique_ptr<ProbeObs>> pobs(kk);
-      for (std::size_t j = 0; j < kk; ++j) {
-        pobs[j] = std::make_unique<ProbeObs>();
-        pobs[j]->ctx.metrics = met != nullptr ? &pobs[j]->reg : nullptr;
-        pobs[j]->ctx.sink =
-            obs::wants_events(obs) ? &pobs[j]->buf : nullptr;
-        pobs[j]->ctx.profile = prof != nullptr ? &pobs[j]->prof : nullptr;
-      }
-      std::vector<std::future<void>> futs;
-      futs.reserve(kk);
-      for (std::size_t j = 0; j < kk; ++j) {
-        futs.push_back(pool->submit([&, j] {
-          if (first_improved.load(std::memory_order_relaxed) < j) {
-            results[j].aborted = true;  // dead on arrival; discarded below
-            return;
-          }
-          obs::ObsContext* pctx = obs != nullptr ? &pobs[j]->ctx : nullptr;
-          // Per-probe comm model: transfer_duration bumps an evaluation
-          // counter cell, which must live in the probe's own registry.
-          CommModel pcomm(cluster);
-          if (met != nullptr)
-            pcomm.count_evals_into(
-                pobs[j]->reg.cell_ptr("comm.cost_evals"));
-          results[j] = run_walk(steps[j], round_base + j + 1, mtask_at[j],
-                                medge_at[j], start_best, best_alloc,
-                                opt_.look_ahead_depth, pctx, pcomm,
-                                incr_on ? &pobs[j]->incr : nullptr, j,
-                                &first_improved);
-        }));
-      }
-      // Barrier. Wait for every probe before rethrowing so no worker can
-      // still be touching batch-local state.
-      std::exception_ptr err;
-      for (std::future<void>& f : futs) {
-        try {
-          f.get();
-        } catch (...) {
-          if (err == nullptr) err = std::current_exception();
-        }
-      }
-      if (err != nullptr) std::rethrow_exception(err);
-      if (met != nullptr) {
-        met->add("locmps.parallel.wall_ms", batch_sw.seconds() * 1e3);
-        // CPU attribution across the pool (excluded from determinism
-        // digests like the other locmps.parallel.* wall-clock numbers).
-        met->set("locmps.parallel.worker_cpu_s",
-                 pool->worker_cpu_seconds());
-      }
-
-      // Candidate-order reduction: process rounds in enumeration order;
-      // the first improving round wins and the rest of the batch is
-      // discarded (the sequential run would never have explored it).
-      std::size_t processed = 0;
-      for (std::size_t j = 0; j < kk; ++j) {
-        const WalkResult& w = results[j];
-        ++round;
-        ++processed;
-        // Merge this probe's telemetry exactly where the sequential run
-        // would have produced it.
-        if (met != nullptr) met->merge_from(pobs[j]->reg.snapshot());
-        if (prof != nullptr) prof->merge_from(pobs[j]->prof.snapshot());
-        if (obs::wants_events(obs)) {
-          pobs[j]->buf.replay_into(*obs->sink);
-          if (pobs[j]->buf.dropped() > 0 && met != nullptr)
-            met->add("obs.events.dropped",
-                     static_cast<double>(pobs[j]->buf.dropped()));
-        }
-        calls += w.used;
-        const double old_sl = best_sl;
-        finish_round(round, steps[j].ep, old_sl, w, calls);
-        // The sequential algorithm re-realizes the best allocation after
-        // every round; eval_locbs elides the recomputation on the memo
-        // path while keeping the call count and telemetry identical.
-        best_run = eval_locbs(best_alloc, obs, comm, sincr);
-        ++calls;
-        if (met != nullptr) {
-          met->sample("locmps.best_makespan", best_sl);
-          met->sample("locmps.locbs_calls", static_cast<double>(calls));
-        }
-        if (exhausted_now()) {
-          stop = true;
-          break;
-        }
-        if (w.improved) {
-          committed = true;
-          break;
-        }
-        if (calls >= opt_.max_locbs_calls) {
-          stop = true;
-          break;
-        }
-      }
-      if (met != nullptr && processed < kk)
-        met->add("locmps.parallel.misspeculated",
-                 static_cast<double>(kk - processed));
+    const double old_sl = best_sl;
+    const WalkResult w =
+        walk(round, std::move(np), *first, opt_.max_locbs_calls - calls);
+    calls += w.used;
+    finish_round(round, first->ep, old_sl, w);
+    // Re-realize the best allocation; its critical path drives termination.
+    best_run = eval_locbs(best_alloc);
+    ++calls;
+    if (met != nullptr) {
+      met->sample("locmps.best_makespan", best_sl);
+      met->sample("locmps.locbs_calls", static_cast<double>(calls));
     }
-    if (stop) break;
-    if (speculative)
-      fanout = committed ? 1 : std::min(n_threads, fanout * 2);
+    if (exhausted_now()) break;
   }
 
   // Final authoritative realization. The refinement loop's last LoCBS
@@ -814,9 +446,8 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   // rundiff and `--explain` read precisely those. This pass is also where
   // an armed perturb_task takes effect (and the only place it does).
   if (perturb != kNoTask || obs::wants_events(obs)) {
-    best_run = std::make_shared<const LocBSResult>(
-        locbs(g, best_alloc, comm, opt_.locbs, fixed, obs));
-    best_sl = best_run->makespan;
+    best_run = locbs(g, best_alloc, comm, opt_.locbs, fixed, obs);
+    best_sl = best_run.makespan;
     ++calls;
   }
 
@@ -831,7 +462,7 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
             .with("locbs_calls", static_cast<std::uint64_t>(calls)));
 
   SchedulerResult out;
-  out.schedule = best_run->schedule;  // the result may be memo-shared
+  out.schedule = std::move(best_run.schedule);
   out.allocation = std::move(best_alloc);
   out.estimated_makespan = best_sl;
   out.iterations = calls;

@@ -45,28 +45,17 @@ struct LocMPSOptions {
   /// long before this on the paper's workloads).
   std::size_t max_locbs_calls = 100000;
 
-  /// Worker threads for the speculative probe fan-out: the refinement loop
-  /// predicts the entry points of the next batch of look-ahead rounds and
-  /// evaluates the walks as parallel LoCBS probes, reducing the results in
-  /// candidate order with the exact sequential tie-breaking. Any value
-  /// produces schedules, locbs-call counts, counters, and traces
-  /// bit-identical to threads = 1 (docs/parallelism.md documents the
-  /// contract and the `locmps.parallel.*` counters). 0 = one worker per
-  /// hardware thread.
-  std::size_t threads = 1;
-
   /// Incremental replanning (docs/incremental.md): successive LoCBS
   /// evaluations of one refinement stream replay their unchanged placement
   /// prefix from a recorded earlier evaluation instead of re-scanning
-  /// every hole, redistribution volumes are memoized per (src, dst) layout
-  /// pair, and repeated allocations replay through the evaluation memo even
-  /// at threads = 1. Schedules, counters (minus the digest-excluded
-  /// `incr.*` family), and analyses stay bit-identical to the from-scratch
-  /// path — tests/test_incremental.cpp enforces this differentially on
-  /// every workload. The machinery stands down automatically when an event
-  /// sink or profiler is attached (those runs take the reference path so
-  /// traces and span shapes stay exact). false = always from-scratch (the
-  /// oracle side of the differential harness).
+  /// every hole, and update priorities over the dirty region only.
+  /// Schedules, counters (minus the digest-excluded `incr.*` family), and
+  /// analyses stay bit-identical to the from-scratch path —
+  /// tests/test_incremental.cpp enforces this differentially on every
+  /// workload. The machinery stands down automatically when an event sink
+  /// or profiler is attached (those runs take the reference path so traces
+  /// and span shapes stay exact). false = always from-scratch (the oracle
+  /// side of the differential harness).
   bool incremental = true;
 };
 

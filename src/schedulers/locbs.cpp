@@ -347,16 +347,6 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
   std::vector<Candidate> shadows;
   std::vector<char> is_parent(n, 0);
 
-  // Block-cyclic remote fraction, always computed directly: the fraction
-  // is O(|src| + |dst|) with a tiny constant, so any hash-keyed memo of it
-  // costs more per lookup than the computation it would skip (measured
-  // ~6x; docs/incremental.md). Memoization lives at the evaluation level
-  // (the LoC-MPS probe memo) where a hit elides a whole LoCBS pass.
-  auto rfrac = [&](const std::vector<ProcId>& src,
-                   const std::vector<ProcId>& dst) {
-    return remote_fraction(src, dst);
-  };
-
   for (std::size_t scheduled = n_frozen; scheduled < n; ++scheduled) {
     TaskId tp;
     if (replay_live && ready_dirty == 0 && ri < rec->steps.size()) {
@@ -479,8 +469,9 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
       for (std::size_t k = 0; k < comm_edges.size(); ++k) {
         const Edge& ed = g.edge(comm_edges[k]);
         const double rv =
-            opt.locality ? ed.volume_bytes * rfrac(placed[ed.src], procs)
-                         : ed.volume_bytes;
+            opt.locality
+                ? ed.volume_bytes * remote_fraction(placed[ed.src], procs)
+                : ed.volume_bytes;
         c.rvol[k] = rv;
         c.durs[k] =
             comm.transfer_duration(rv, placed[ed.src].size(), need);
@@ -573,8 +564,9 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
       for (EdgeId e : comm_edges) {
         const Edge& ed = g.edge(e);
         pc.remote_bytes +=
-            opt.locality ? ed.volume_bytes * rfrac(placed[ed.src], c.procs)
-                         : ed.volume_bytes;
+            opt.locality
+                ? ed.volume_bytes * remote_fraction(placed[ed.src], c.procs)
+                : ed.volume_bytes;
       }
       for (ProcId q : c.procs) pc.locality_score += score[q];
       pc.procs = c.procs;
@@ -935,10 +927,8 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
 
   if (incr != nullptr) {
     // Stream bookkeeping: dirty vs replayed split of this evaluation, and
-    // whether it had any replay base at all (incr.cache_hits — whole
-    // evaluations served from the memo — is accounted at the eval_locbs
-    // funnel). The incr.* family is digest-excluded (the from-scratch
-    // oracle produces none), like the locmps.parallel.* wall-clock family.
+    // whether it had any replay base at all. The incr.* family is
+    // digest-excluded (the from-scratch oracle produces none).
     if (met != nullptr) {
       met->add("incr.dirty_tasks", static_cast<double>(scanned_tasks));
       met->add("incr.replayed_tasks", static_cast<double>(replayed_tasks));

@@ -117,8 +117,7 @@ struct FixedPrefix {
 /// caller's evaluation stream (schedulers/incremental.hpp,
 /// docs/incremental.md): the pass replays the longest placement prefix
 /// that provably matches a recorded earlier evaluation, scans only the
-/// dirty remainder, memoizes redistribution fractions, and records itself
-/// for future replays. The result — schedule, G', counters — is
+/// dirty remainder, and records itself for future replays. The result — schedule, G', counters — is
 /// bit-identical to incr == nullptr (the from-scratch oracle path); only
 /// the digest-excluded `incr.*` counters reveal which path ran.
 LocBSResult locbs(const TaskGraph& g, const Allocation& np,

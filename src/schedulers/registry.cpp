@@ -14,50 +14,40 @@
 
 namespace locmps {
 
+namespace {
+
+/// LoC-MPS options carrying the scheme-independent knobs of \p sopt.
+LocMPSOptions loc_mps_options(const SchedulerOptions& sopt) {
+  LocMPSOptions opt;
+  opt.locbs.perturb_task = sopt.perturb_task;
+  opt.locbs.slack_factor = sopt.slack_factor;
+  opt.incremental = sopt.incremental;
+  if (sopt.plan_budget > 0) opt.max_locbs_calls = sopt.plan_budget;
+  return opt;
+}
+
+}  // namespace
+
 SchedulerPtr make_scheduler(const std::string& name) {
   return make_scheduler(name, SchedulerOptions{});
 }
 
 SchedulerPtr make_scheduler(const std::string& name,
                             const SchedulerOptions& sopt) {
-  if (name == "loc-mps") {
-    LocMPSOptions opt;
-    opt.threads = sopt.threads;
-    opt.locbs.perturb_task = sopt.perturb_task;
-    opt.locbs.slack_factor = sopt.slack_factor;
-    opt.incremental = sopt.incremental;
-    if (sopt.plan_budget > 0) opt.max_locbs_calls = sopt.plan_budget;
-    return std::make_unique<LocMPSScheduler>(opt);
-  }
+  if (name == "loc-mps")
+    return std::make_unique<LocMPSScheduler>(loc_mps_options(sopt));
   if (name == "loc-mps-nbf") {
-    LocMPSOptions opt;
+    LocMPSOptions opt = loc_mps_options(sopt);
     opt.locbs.backfill = false;
-    opt.threads = sopt.threads;
-    opt.locbs.perturb_task = sopt.perturb_task;
-    opt.locbs.slack_factor = sopt.slack_factor;
-    opt.incremental = sopt.incremental;
-    if (sopt.plan_budget > 0) opt.max_locbs_calls = sopt.plan_budget;
     return std::make_unique<LocMPSScheduler>(opt);
   }
   if (name == "loc-mps-noloc") {
-    LocMPSOptions opt;
+    LocMPSOptions opt = loc_mps_options(sopt);
     opt.locbs.locality = false;
-    opt.threads = sopt.threads;
-    opt.locbs.perturb_task = sopt.perturb_task;
-    opt.locbs.slack_factor = sopt.slack_factor;
-    opt.incremental = sopt.incremental;
-    if (sopt.plan_budget > 0) opt.max_locbs_calls = sopt.plan_budget;
     return std::make_unique<LocMPSScheduler>(opt);
   }
-  if (name == "icaslb") {
-    LocMPSOptions opt;
-    opt.threads = sopt.threads;
-    opt.locbs.perturb_task = sopt.perturb_task;
-    opt.locbs.slack_factor = sopt.slack_factor;
-    opt.incremental = sopt.incremental;
-    if (sopt.plan_budget > 0) opt.max_locbs_calls = sopt.plan_budget;
-    return std::make_unique<ICASLBScheduler>(opt);
-  }
+  if (name == "icaslb")
+    return std::make_unique<ICASLBScheduler>(loc_mps_options(sopt));
   if (name == "cpr") return std::make_unique<CPRScheduler>();
   if (name == "cpa") return std::make_unique<CPAScheduler>();
   if (name == "tsas") return std::make_unique<TSASScheduler>();

@@ -23,9 +23,9 @@ namespace locmps {
 /// Throws std::invalid_argument for unknown names.
 SchedulerPtr make_scheduler(const std::string& name);
 
-/// Same, applying scheme-independent knobs: SchedulerOptions::threads
-/// reaches the LoC-MPS-backed schemes (loc-mps, loc-mps-nbf,
-/// loc-mps-noloc, icaslb); schemes without internal parallelism ignore it.
+/// Same, applying scheme-independent knobs (SchedulerOptions) to the
+/// LoC-MPS-backed schemes (loc-mps, loc-mps-nbf, loc-mps-noloc, icaslb);
+/// the other schemes ignore them.
 SchedulerPtr make_scheduler(const std::string& name,
                             const SchedulerOptions& opt);
 

@@ -21,13 +21,6 @@ using Allocation = std::vector<std::size_t>;
 /// Scheme-independent construction knobs, applied by the registry factory
 /// (make_scheduler) to every scheduler that supports them.
 struct SchedulerOptions {
-  /// Worker threads a scheduler may use internally. LoC-MPS-backed
-  /// schemes fan their speculative LoCBS probes across this many workers;
-  /// every setting produces bit-identical schedules (the determinism
-  /// contract of docs/parallelism.md). 1 = the sequential reference path;
-  /// 0 = one worker per hardware thread.
-  std::size_t threads = 1;
-
   /// Slack-aware placement: forwarded to LocBSOptions::slack_factor by
   /// every LoCBS-backed scheme. Inflates modeled execution times during
   /// the hole scan so schedules carry headroom against performance faults
@@ -44,12 +37,11 @@ struct SchedulerOptions {
 
   /// Incremental replanning (docs/incremental.md): LoC-MPS-backed schemes
   /// replay the unchanged prefix of each refinement-round LoCBS evaluation
-  /// from the previous round instead of re-scanning every task, update
-  /// priorities over the dirty region only, and serve repeated allocations
-  /// from the evaluation memo. Results are bit-identical to the
-  /// from-scratch path (the differential oracle of tests/test_incremental);
-  /// false forces the from-scratch reference. Ignored by schemes without
-  /// LoCBS.
+  /// from the previous round instead of re-scanning every task, and update
+  /// priorities over the dirty region only. Results are bit-identical to
+  /// the from-scratch path (the differential oracle of
+  /// tests/test_incremental); false forces the from-scratch reference.
+  /// Ignored by schemes without LoCBS.
   bool incremental = true;
 
   /// When > 0, caps the planner's refinement budget (LoCBS invocations for

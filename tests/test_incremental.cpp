@@ -2,9 +2,8 @@
 /// (schedulers/incremental.hpp, docs/incremental.md).
 ///
 /// The contract: LoC-MPS with `incremental = true` — prefix replay of
-/// recorded LoCBS evaluations, memoized redistribution fractions, memo
-/// replay at threads = 1 — must be observably identical to the
-/// from-scratch reference on every workload: same placements, same
+/// recorded LoCBS evaluations and dirty-region priority updates — must be
+/// observably identical to the from-scratch reference on every workload: same placements, same
 /// makespan, same counters (outside the digest-excluded incr.* family),
 /// same sample-series values, same decision-event stream when traced,
 /// and the same post-mortem analysis. Only the incr.* counters may
@@ -23,7 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include "network/block_cyclic.hpp"
 #include "network/comm_model.hpp"
 #include "obs/analysis.hpp"
 #include "schedulers/loc_mps.hpp"
@@ -40,10 +38,9 @@ using test::RunCapture;
 namespace {
 
 RunCapture run(const TaskGraph& g, const Cluster& cluster, bool incremental,
-               bool with_sink, std::size_t threads = 1) {
+               bool with_sink) {
   LocMPSOptions opt;
   opt.incremental = incremental;
-  opt.threads = threads;
   return test::run_locmps_capture(g, cluster, opt, with_sink);
 }
 
@@ -89,27 +86,17 @@ TEST(IncrementalOracle, MetricsOnlyRunsAreBitIdentical) {
 TEST(IncrementalOracle, TracedRunsAreBitIdentical) {
   // With an event sink the machinery stands down (the reference path runs
   // so traces keep their exact shape) — the differential contract must
-  // hold all the same, including the full decision-event stream.
+  // hold all the same, including the full decision-event stream. Only the
+  // workloads whose whole stream fits the EventBuffer are traced (4k-21k
+  // events; the 38-48 task graphs emit 2.6e5-1.0e6). The larger graphs
+  // stay covered untraced above, which is where replay actually runs.
+  constexpr std::size_t kMaxTracedTasks = 24;
   const Cluster cluster(16);
   for (const auto& [label, g] : sweep_workloads()) {
+    if (g.num_tasks() > kMaxTracedTasks) continue;
     const RunCapture off = run(g, cluster, false, /*with_sink=*/true);
     const RunCapture on = run(g, cluster, true, /*with_sink=*/true);
     DifferentialChecker(g).expect_identical(off, on, label + " traced");
-  }
-}
-
-TEST(IncrementalOracle, ThreadedRunsAreBitIdentical) {
-  // Incremental replay composes with the speculative probe fan-out:
-  // per-probe contexts replay their own evaluation streams. The oracle is
-  // the sequential from-scratch run.
-  const Cluster cluster(16);
-  for (const auto& [label, g] : sweep_workloads()) {
-    const RunCapture off = run(g, cluster, false, false, 1);
-    for (const std::size_t threads : {2u, 8u}) {
-      const RunCapture on = run(g, cluster, true, false, threads);
-      DifferentialChecker(g).expect_identical(
-          off, on, label + " @" + std::to_string(threads) + "t");
-    }
   }
 }
 
@@ -134,8 +121,8 @@ TEST(IncrementalOracle, AnalysesAgree) {
 
 TEST(IncrementalOracle, CountersExposeTheReplay) {
   // The incremental run accounts its work in the digest-excluded incr.*
-  // family: dirty (re-scanned) tasks, evaluation-memo hits, replayed
-  // tasks. The from-scratch side reports none of them.
+  // family: dirty (re-scanned) tasks and replayed tasks. The from-scratch
+  // side reports none of them.
   const Cluster cluster(16);
   SyntheticParams p;
   p.ccr = 1.0;
@@ -150,7 +137,6 @@ TEST(IncrementalOracle, CountersExposeTheReplay) {
   const RunCapture on = run(g, cluster, true, false);
   EXPECT_GT(on.metrics.counter("incr.dirty_tasks"), 0.0);
   EXPECT_GT(on.metrics.counter("incr.replayed_tasks"), 0.0);
-  EXPECT_GT(on.metrics.counter("incr.cache_hits"), 0.0);
   // Replay amortizes: across a whole refinement run most placements come
   // from the recorded prefix, not a fresh scan.
   EXPECT_GT(on.metrics.counter("incr.replayed_tasks"),
@@ -207,38 +193,6 @@ TEST(IncrementalOracle, FixedPrefixReplansAreBitIdentical) {
 
 // ---------------------------------------------------------------------------
 // Unit coverage of the incremental building blocks
-
-TEST(RedistMemo, ServesExactRemoteFractions) {
-  RedistMemo memo;
-  Rng rng(99);
-  std::vector<std::pair<std::vector<ProcId>, std::vector<ProcId>>> pairs;
-  for (int i = 0; i < 64; ++i) {
-    std::vector<ProcId> src, dst;
-    const auto draw = [&rng](std::vector<ProcId>& v) {
-      const int n = static_cast<int>(rng.uniform_int(1, 8));
-      for (int k = 0; k < n; ++k)
-        v.push_back(static_cast<ProcId>(rng.uniform_int(0, 15)));
-      std::sort(v.begin(), v.end());
-      v.erase(std::unique(v.begin(), v.end()), v.end());
-    };
-    draw(src);
-    draw(dst);
-    pairs.emplace_back(std::move(src), std::move(dst));
-  }
-  // First pass computes, second pass must serve bit-equal values from
-  // the memo (fraction() returns exactly remote_fraction()'s double).
-  std::vector<double> first;
-  for (const auto& [s, d] : pairs) first.push_back(memo.fraction(s, d));
-  const std::uint64_t lookups0 = memo.lookups();
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const double f = memo.fraction(pairs[i].first, pairs[i].second);
-    EXPECT_EQ(f, first[i]) << "pair " << i;
-    EXPECT_EQ(f, remote_fraction(pairs[i].first, pairs[i].second))
-        << "pair " << i;
-  }
-  EXPECT_EQ(memo.lookups(), lookups0 + pairs.size());
-  EXPECT_GE(memo.hits(), pairs.size());  // every second-pass lookup hits
-}
 
 TEST(IncrementalContext, PicksTheLongestMatchingRecord) {
   IncrementalContext ctx;

@@ -1,8 +1,8 @@
 /// Decision provenance (obs/provenance.hpp): the "locbs.decision" record
 /// each committed placement emits — encoding round trips, one decision per
-/// placement consistent with its "locbs.place" twin, bit-identical streams
-/// at every thread count, the seeded perturbation hook, and the bounded
-/// JSONL sink that carries the records to disk.
+/// placement consistent with its "locbs.place" twin, the seeded
+/// perturbation hook, and the bounded JSONL sink that carries the records
+/// to disk.
 
 #include "obs/provenance.hpp"
 
@@ -20,9 +20,7 @@
 #include "obs/rundiff.hpp"
 #include "schedulers/loc_mps.hpp"
 #include "util/rng.hpp"
-#include "workloads/strassen.hpp"
 #include "workloads/synthetic.hpp"
-#include "workloads/tce.hpp"
 
 namespace locmps {
 namespace {
@@ -157,10 +155,8 @@ TEST(Provenance, ShortlistRecorderKeepsBestAndEnsuresWinner) {
 /// Runs LoC-MPS with a JSONL sink attached and parses the trace.
 std::vector<obs::TraceRecord> traced_run(const TaskGraph& g,
                                          const Cluster& cluster,
-                                         std::size_t threads,
                                          TaskId perturb = kNoTask) {
   LocMPSOptions opt;
-  opt.threads = threads;
   opt.locbs.perturb_task = perturb;
   LocMPSScheduler sched(opt);
   std::ostringstream buf;
@@ -184,7 +180,7 @@ TaskGraph small_graph(unsigned seed = 42) {
 TEST(Provenance, EveryPlacementCarriesAConsistentDecision) {
   const TaskGraph g = small_graph();
   const Cluster cluster(8);
-  const auto records = traced_run(g, cluster, 1);
+  const auto records = traced_run(g, cluster);
 
   // Pair up place/decision records in stream order: the decision follows
   // its placement and agrees on the realized slot.
@@ -222,49 +218,6 @@ TEST(Provenance, EveryPlacementCarriesAConsistentDecision) {
   EXPECT_EQ(places, decisions);
 }
 
-TEST(Provenance, DecisionStreamIsBitIdenticalAcrossThreads) {
-  const Cluster cluster(16);
-  std::vector<std::pair<std::string, TaskGraph>> workloads;
-  workloads.emplace_back("synthetic", small_graph(7));
-  StrassenParams sp;
-  sp.n = 512;
-  sp.max_procs = 16;
-  workloads.emplace_back("strassen", make_strassen(sp));
-  TCEParams tp;
-  tp.occupied = 8;
-  tp.virt = 32;
-  tp.max_procs = 16;
-  workloads.emplace_back("ccsd t1 (8,32)", make_ccsd_t1(tp));
-  for (const auto& [label, g] : workloads) {
-    const auto ref = traced_run(g, cluster, 1);
-    for (const std::size_t threads : {2u, 8u}) {
-      const auto par = traced_run(g, cluster, threads);
-      ASSERT_EQ(ref.size(), par.size())
-          << label << " @" << threads << "t";
-      for (std::size_t i = 0; i < ref.size(); ++i) {
-        if (ref[i].ev != "locbs.decision") continue;
-        obs::PlacementDecision a, b;
-        ASSERT_TRUE(obs::decision_from_record(ref[i], a));
-        ASSERT_TRUE(obs::decision_from_record(par[i], b));
-        EXPECT_EQ(a.task, b.task) << label << " record " << i;
-        EXPECT_EQ(a.start, b.start) << label << " record " << i;
-        EXPECT_EQ(a.finish, b.finish) << label << " record " << i;
-        EXPECT_EQ(a.winner, b.winner) << label << " record " << i;
-        EXPECT_EQ(a.margin, b.margin) << label << " record " << i;
-        EXPECT_EQ(a.candidates_scored, b.candidates_scored)
-            << label << " record " << i;
-        ASSERT_EQ(a.shortlist.size(), b.shortlist.size())
-            << label << " record " << i;
-        for (std::size_t c = 0; c < a.shortlist.size(); ++c) {
-          EXPECT_EQ(a.shortlist[c].start, b.shortlist[c].start);
-          EXPECT_EQ(a.shortlist[c].finish, b.shortlist[c].finish);
-          EXPECT_EQ(a.shortlist[c].procs, b.shortlist[c].procs);
-        }
-      }
-    }
-  }
-}
-
 TEST(Provenance, PerturbHookAdoptsTheRunnerUp) {
   // A 16-processor cluster gives LoC-MPS varied allocation widths, so
   // placements have genuinely different processor subsets to choose from.
@@ -274,7 +227,7 @@ TEST(Provenance, PerturbHookAdoptsTheRunnerUp) {
   Rng rng(42);
   const TaskGraph g = make_synthetic_dag(p, rng);
   const Cluster cluster(16);
-  const auto base_records = traced_run(g, cluster, 1);
+  const auto base_records = traced_run(g, cluster);
   const auto base =
       obs::final_decisions(base_records, g.num_tasks());
 
@@ -289,7 +242,7 @@ TEST(Provenance, PerturbHookAdoptsTheRunnerUp) {
   ASSERT_NE(victim, kNoTask)
       << "workload produced no decision with a distinct runner-up";
 
-  const auto pert_records = traced_run(g, cluster, 1, victim);
+  const auto pert_records = traced_run(g, cluster, victim);
   const auto pert = obs::final_decisions(pert_records, g.num_tasks());
   ASSERT_TRUE(pert[victim].valid());
   EXPECT_TRUE(pert[victim].perturbed);

@@ -1,11 +1,10 @@
 /// Tests for the scheduler self-profiling subsystem (obs/profile.hpp,
-/// obs/flame.hpp, obs/log.hpp): span nesting and aggregation, the
-/// merge-under-current-span reduction, allocation attribution, the
-/// collapsed-stack flamegraph golden format, the Perfetto profile track,
-/// the report's profile panel, the bounded EventBuffer, the leveled
-/// logger — and the headline determinism property: LoC-MPS profiles for
-/// threads in {1, 2, 8} have bit-identical span trees (names and counts)
-/// that reconcile with the sequential run (docs/parallelism.md).
+/// obs/flame.hpp, obs/log.hpp): span nesting and aggregation, allocation
+/// attribution, the collapsed-stack flamegraph golden format, the
+/// Perfetto profile track, the report's profile panel, the bounded
+/// EventBuffer, the leveled logger — and the headline determinism
+/// property: repeated LoC-MPS profiles have bit-identical span trees
+/// (names and counts) and allocation totals.
 
 #include "obs/profile.hpp"
 
@@ -73,23 +72,6 @@ TEST(Profiler, SpanMacroRecordsThroughContext) {
   const obs::ObsContext* obs = &ctx;
   { LOCMPS_SPAN(obs, "macro.span"); }
   EXPECT_NE(p.snapshot().find("macro.span"), nullptr);
-}
-
-TEST(Profiler, MergeGraftsUnderTheOpenSpan) {
-  obs::Profiler donor(/*record_intervals=*/false);
-  { auto child = donor.span("probe.work"); }
-  obs::Profiler session;
-  {
-    auto parent = session.span("parent");
-    session.merge_from(donor.snapshot());
-    session.merge_from(donor.snapshot());
-  }
-  const obs::ProfileSnapshot snap = session.snapshot();
-  const obs::ProfileNode* grafted = snap.find("parent;probe.work");
-  ASSERT_NE(grafted, nullptr);
-  EXPECT_EQ(grafted->count, 2u);
-  // Donor intervals are epoch-relative and must not transfer.
-  EXPECT_EQ(snap.intervals.size(), 1u);  // just "parent"
 }
 
 TEST(Profiler, ResetClearsEverything) {
@@ -261,7 +243,7 @@ TEST(Report, RendersProfilePanelAndDroppedEventsFooter) {
   s.place(tb, 15.0, 15.0, 25.0, ProcessorSet::of(4, {1}));
   const Cluster cluster(4, 1e6);
   obs::ScheduleAnalysis a = obs::analyze_schedule(g, s, CommModel(cluster));
-  a.events_dropped = 7.0;
+  a.trace_dropped = 7.0;
 
   const obs::ProfileSnapshot snap = golden_snapshot();
   obs::ReportOptions opt;
@@ -327,15 +309,12 @@ TEST(Log, ParseLevelAcceptsNamesAndLetters) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism across speculative-probe thread counts
+// Determinism of the span tree
 
 /// One instrumented LoC-MPS run with an attached profiler.
 obs::ProfileSnapshot profile_locmps(const TaskGraph& g,
-                                    const Cluster& cluster,
-                                    std::size_t threads, bool with_sink) {
-  LocMPSOptions opt;
-  opt.threads = threads;
-  LocMPSScheduler sched(opt);
+                                    const Cluster& cluster, bool with_sink) {
+  LocMPSScheduler sched;
   obs::MetricsRegistry reg;
   obs::EventBuffer buf;
   obs::Profiler prof;
@@ -366,28 +345,19 @@ void expect_same_allocs(const obs::ProfileNode& a, const obs::ProfileNode& b,
     expect_same_allocs(a.children[i], b.children[i], label);
 }
 
-/// Relative difference helper for the loose cross-thread alloc check.
-double rel_diff(double a, double b) {
-  const double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
-  return std::fabs(a - b) / scale;
-}
-
-TEST(SelfProfileDeterminism, SpanTreesAreCountIdenticalAcrossThreads) {
+TEST(SelfProfileDeterminism, SpanTreesAreCountIdenticalAcrossRuns) {
   SyntheticParams p;
   p.max_procs = 16;
   Rng rng(20060901);
   const TaskGraph g = make_synthetic_dag(p, rng);
-  const Cluster cluster(16, p.bandwidth_Bps);
+  const Cluster cluster(16);
 
-  const obs::ProfileSnapshot ref = profile_locmps(g, cluster, 1, true);
+  const obs::ProfileSnapshot ref = profile_locmps(g, cluster, true);
   EXPECT_FALSE(ref.empty());
   EXPECT_NE(ref.find("locmps.run"), nullptr);
   EXPECT_NE(ref.find("locmps.run;locmps.walk;locbs.pass"), nullptr);
-  for (const std::size_t threads : {2u, 8u}) {
-    const obs::ProfileSnapshot par = profile_locmps(g, cluster, threads, true);
-    expect_same_shape(ref.root, par.root,
-                      "threads=" + std::to_string(threads));
-  }
+  expect_same_shape(ref.root, profile_locmps(g, cluster, true).root,
+                    "repeat");
 }
 
 TEST(SelfProfileDeterminism, AllocBytesReproducibleAtFixedThreadCount) {
@@ -397,73 +367,27 @@ TEST(SelfProfileDeterminism, AllocBytesReproducibleAtFixedThreadCount) {
   p.max_procs = 16;
   Rng rng(20060901);
   const TaskGraph g = make_synthetic_dag(p, rng);
-  const Cluster cluster(16, p.bandwidth_Bps);
+  const Cluster cluster(16);
 
-  // At a fixed thread count the planner's allocation sequence is
-  // deterministic, so two runs agree byte-for-byte on every span.
-  for (const std::size_t threads : {1u, 8u}) {
-    const obs::ProfileSnapshot a = profile_locmps(g, cluster, threads, false);
-    const obs::ProfileSnapshot b = profile_locmps(g, cluster, threads, false);
-    expect_same_allocs(a.root, b.root,
-                       "threads=" + std::to_string(threads));
-  }
+  // The planner's allocation sequence is deterministic, so two runs
+  // agree byte-for-byte on every span.
+  const obs::ProfileSnapshot a = profile_locmps(g, cluster, false);
+  const obs::ProfileSnapshot b = profile_locmps(g, cluster, false);
+  expect_same_allocs(a.root, b.root, "repeat");
 }
 
-TEST(SelfProfileDeterminism, AllocBytesReconcileAcrossThreadCounts) {
-  if (!obs::alloc_counting_enabled())
-    GTEST_SKIP() << "LOCMPS_PROFILE alloc hook not compiled in";
+TEST(SelfProfileDeterminism, WallAndCpuTimesAreSane) {
   SyntheticParams p;
   p.max_procs = 16;
   Rng rng(20060901);
   const TaskGraph g = make_synthetic_dag(p, rng);
-  const Cluster cluster(16, p.bandwidth_Bps);
-
-  // Across thread counts the byte totals are close but not exact:
-  // probes start with cold container capacities, so the same logical
-  // work triggers a few more capacity-growth reallocations than the
-  // long-lived sequential pass (span counts stay bit-identical — the
-  // shape test above). Bound the drift so a real attribution bug
-  // (missing merge, double count) still fails loudly.
-  const obs::ProfileSnapshot ref = profile_locmps(g, cluster, 1, false);
-  const obs::ProfileNode* ref_pass =
-      ref.find("locmps.run;locmps.walk;locbs.pass");
-  ASSERT_NE(ref_pass, nullptr);
-  for (const std::size_t threads : {2u, 8u}) {
-    const obs::ProfileSnapshot par =
-        profile_locmps(g, cluster, threads, false);
-    const obs::ProfileNode* par_pass =
-        par.find("locmps.run;locmps.walk;locbs.pass");
-    ASSERT_NE(par_pass, nullptr);
-    EXPECT_LT(rel_diff(static_cast<double>(ref_pass->alloc_bytes),
-                       static_cast<double>(par_pass->alloc_bytes)),
-              0.25)
-        << "threads=" << threads << ": " << ref_pass->alloc_bytes << " vs "
-        << par_pass->alloc_bytes;
-    EXPECT_LT(rel_diff(static_cast<double>(ref_pass->allocs),
-                       static_cast<double>(par_pass->allocs)),
-              0.25)
-        << "threads=" << threads << ": " << ref_pass->allocs << " vs "
-        << par_pass->allocs;
-  }
-}
-
-TEST(SelfProfileDeterminism, WallAndCpuTimesAreSaneAcrossThreads) {
-  SyntheticParams p;
-  p.max_procs = 16;
-  Rng rng(20060901);
-  const TaskGraph g = make_synthetic_dag(p, rng);
-  const Cluster cluster(16, p.bandwidth_Bps);
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    const obs::ProfileSnapshot snap =
-        profile_locmps(g, cluster, threads, true);
-    const obs::ProfileNode* run = snap.find("locmps.run");
-    ASSERT_NE(run, nullptr);
-    EXPECT_GT(run->wall_s, 0.0) << "threads=" << threads;
-    // CPU time can exceed wall under parallel probes (that is the
-    // point) but must stay nonnegative and finite.
-    EXPECT_GE(run->cpu_s, 0.0) << "threads=" << threads;
-    EXPECT_TRUE(std::isfinite(run->cpu_s)) << "threads=" << threads;
-  }
+  const Cluster cluster(16);
+  const obs::ProfileSnapshot snap = profile_locmps(g, cluster, false);
+  const obs::ProfileNode* run = snap.find("locmps.run");
+  ASSERT_NE(run, nullptr);
+  EXPECT_GT(run->wall_s, 0.0);
+  EXPECT_GE(run->cpu_s, 0.0);
+  EXPECT_TRUE(std::isfinite(run->cpu_s));
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -492,36 +493,30 @@ inline Xml parse_xhtml_report(std::string_view report) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential-equivalence checking, shared by the scheduler determinism
-// walls: the parallel-probe suite (test_parallel_locmps.cpp) and the
-// incremental-replanning oracle (test_incremental.cpp) assert the same
-// contract — two LoC-MPS runs that differ only in an execution knob
-// (thread count, incremental on/off) must be observably identical.
+// Differential-equivalence checking for the incremental-replanning oracle
+// (test_incremental.cpp): two LoC-MPS runs that differ only in an
+// execution knob (incremental on/off) must be observably identical.
 //
 // "Identical" means: placements (busy_from/start/finish/procs), makespan,
 // iteration and locbs-call counts, every counter outside the
-// digest-excluded families, every sample-series value, the full decision
-// -event stream when both runs traced, and the post-mortem analysis.
-// Byte-volume counters (`*_bytes`) are floating-point sums whose addition
-// tree may legally differ across probe merges; they reconcile to 1e-9
-// relative instead of bit-equality (docs/parallelism.md).
+// digest-excluded incr.* family, every sample-series value, the full,
+// untruncated decision-event stream when both runs traced, and the
+// post-mortem analysis.
 
 /// Everything one instrumented LoC-MPS run produces.
 struct RunCapture {
   SchedulerResult result;
   obs::MetricsSnapshot metrics;
   std::vector<obs::Event> events;
+  std::uint64_t dropped = 0;  ///< events the bounded buffer discarded
 };
 
-/// Counters that legitimately differ between equivalent runs:
-///  * locmps.parallel.* — accounting of the speculative fan-out itself
-///    (batches, probes, wall time), absent at threads = 1;
-///  * incr.* — accounting of the incremental replay path (dirty tasks,
-///    cache hits, full rebuilds), different by construction between the
-///    incremental and from-scratch sides of the differential oracle.
+/// Counters that legitimately differ between equivalent runs: the incr.*
+/// accounting of the incremental replay path (dirty tasks, replayed
+/// tasks, full rebuilds), different by construction between the
+/// incremental and from-scratch sides of the differential oracle.
 inline bool digest_excluded(const std::string& name) {
-  return name.rfind("locmps.parallel.", 0) == 0 ||
-         name.rfind("incr.", 0) == 0;
+  return name.rfind("incr.", 0) == 0;
 }
 
 /// Runs LoC-MPS once with full instrumentation and captures the output.
@@ -537,6 +532,7 @@ inline RunCapture run_locmps_capture(const TaskGraph& g,
   RunCapture cap{sched.schedule(g, cluster), {}, {}};
   cap.metrics = reg.snapshot();
   cap.events = buf.events();
+  cap.dropped = buf.dropped();
   return cap;
 }
 
@@ -550,6 +546,9 @@ class DifferentialChecker {
 
   void expect_identical(const RunCapture& ref, const RunCapture& alt,
                         const std::string& label) const {
+    // A truncated stream would compare only its prefix.
+    EXPECT_EQ(ref.dropped, 0u) << label << ": reference trace truncated";
+    EXPECT_EQ(alt.dropped, 0u) << label << ": trace truncated";
     expect_same_schedule(ref, alt, label);
     expect_same_counters(ref.metrics, alt.metrics, label);
     expect_same_series_values(ref.metrics, alt.metrics, label);
@@ -588,13 +587,7 @@ class DifferentialChecker {
     ASSERT_EQ(a.size(), b.size()) << label;
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].first, b[i].first) << label;
-      if (a[i].second == b[i].second) continue;
-      // Byte volumes reconcile within ULPs; everything else bit-equal.
-      EXPECT_TRUE(a[i].first.ends_with("_bytes"))
-          << label << ": " << a[i].first << " differs (" << a[i].second
-          << " vs " << b[i].second << ")";
-      EXPECT_NEAR(a[i].second, b[i].second, 1e-9 * std::abs(a[i].second))
-          << label << ": " << a[i].first;
+      EXPECT_EQ(a[i].second, b[i].second) << label << ": " << a[i].first;
     }
   }
 

@@ -218,8 +218,7 @@ class Linter {
 
   // unordered-iteration: iterating a hash container feeds its
   // implementation-defined order into whatever consumes the loop — a
-  // tie-break seeded from it destroys the threads=N == threads=1
-  // replay guarantee. Membership tests are fine; iteration is not.
+  // tie-break seeded from it destroys the run-to-run replay guarantee. Membership tests are fine; iteration is not.
   // The symbol table sees through `using`/`typedef` aliases, member
   // fields and `auto` rebindings (tools/lint/symbols.hpp).
   void unordered_iteration() {
@@ -264,7 +263,7 @@ class Linter {
   // digest-taint: a value obtained by iterating an unordered container
   // must not flow into an observability sink or a sort key. The obs
   // digests (event traces, metric counters) are part of the bit-exact
-  // replay contract — threads=N must emit byte-identical records — and a
+  // replay contract — repeated runs must emit byte-identical records — and a
   // sort keyed on hash-order-derived data is nondeterministic even when
   // the sorted range itself is not. Flow tracking is statement/local-init
   // only (tools/lint/symbols.hpp); collecting keys and sorting them is

@@ -5,9 +5,9 @@
 /// A lightweight, libclang-free static checker (docs/static_analysis.md).
 /// It tokenizes one translation unit at a time (strings, comments and
 /// preprocessor directives handled, no macro expansion) and runs lexical
-/// rules that encode the project's determinism contract: LoC-MPS with
-/// threads=N must replay threads=1 bit for bit, and fault scripts must
-/// replay exactly (docs/parallelism.md, docs/fault_tolerance.md). The
+/// rules that encode the project's determinism contract: a schedule is a
+/// pure function of (workload, cluster, seed, options), and fault scripts
+/// must replay exactly (docs/fault_tolerance.md). The
 /// rules are deliberately simple and conservative — anything subtler
 /// belongs in clang-tidy or the Clang thread-safety analysis.
 ///
