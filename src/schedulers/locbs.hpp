@@ -117,9 +117,10 @@ struct FixedPrefix {
 /// caller's evaluation stream (schedulers/incremental.hpp,
 /// docs/incremental.md): the pass replays the longest placement prefix
 /// that provably matches a recorded earlier evaluation, scans only the
-/// dirty remainder, and records itself for future replays. The result — schedule, G', counters — is
-/// bit-identical to incr == nullptr (the from-scratch oracle path); only
-/// the digest-excluded `incr.*` counters reveal which path ran.
+/// dirty remainder, and records itself for future replays. The result —
+/// schedule, G', counters — is bit-identical to incr == nullptr (the
+/// from-scratch oracle path); only the digest-excluded `incr.*` counters
+/// reveal which path ran.
 LocBSResult locbs(const TaskGraph& g, const Allocation& np,
                   const CommModel& comm, const LocBSOptions& opt = {},
                   const FixedPrefix* fixed = nullptr,

@@ -3,11 +3,11 @@
 ///
 /// The contract: LoC-MPS with `incremental = true` — prefix replay of
 /// recorded LoCBS evaluations and dirty-region priority updates — must be
-/// observably identical to the from-scratch reference on every workload: same placements, same
-/// makespan, same counters (outside the digest-excluded incr.* family),
-/// same sample-series values, same decision-event stream when traced,
-/// and the same post-mortem analysis. Only the incr.* counters may
-/// reveal which path ran. The suite runs every workload of the seeded
+/// observably identical to the from-scratch reference on every workload:
+/// same placements, same makespan, same counters (outside the
+/// digest-excluded incr.* family), same sample-series values, same
+/// decision-event stream when traced, and the same post-mortem analysis.
+/// Only the incr.* counters may reveal which path ran. The suite runs every workload of the seeded
 /// sweep through both sides and asserts with the shared
 /// DifferentialChecker (tests/test_util.hpp).
 
