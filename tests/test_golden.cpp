@@ -26,6 +26,7 @@
 
 #include "faults/fault_plan.hpp"
 #include "faults/recovery.hpp"
+#include "network/comm_model.hpp"
 #include "schedule/metrics.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
@@ -45,6 +46,10 @@ namespace {
 ///  * "sink"            — an event sink attached (the final authoritative
 ///                        realization adds one LoCBS call to iterations);
 ///  * "plan_budget=8"   — SchedulerOptions::plan_budget = 8;
+///  * "slack=1.25"      — SchedulerOptions::slack_factor = 1.25;
+///  * "no_overlap"      — a cluster whose redistributions occupy the
+///                        destination processors (the Fig 8b model, the
+///                        one where a committed busy_from < start);
 ///  * "faults"          — run_with_faults under a fail-stop script with
 ///                        repairs; the row pins the realized execution,
 ///                        its makespan, and the replan count as iterations.
@@ -74,6 +79,10 @@ constexpr GoldenRow kGolden[] = {
     {"ccsd-t1-8-32", 16, "loc-mps", "", 0x9b77303f6efcf50cull, 0.0015598041904761903, 121},
     {"synthetic-1024", 64, "loc-mps", "plan_budget=8", 0x0836d7d3b0642d5bull, 1502.0833415026498, 9},
     {"fig06", 16, "loc-mps", "faults", 0x5785c557cc903c00ull, 223.10604306248842, 4},
+    {"ccsd-t1-8-32", 16, "loc-mps", "no_overlap", 0xca8b50a54b2dfbddull, 0.0022104924444444449, 227},
+    {"fig06", 16, "loc-mps", "slack=1.25", 0x1fbfd5c525358d16ull, 183.78327582338841, 2521},
+    {"fig06", 1, "loc-mps", "", 0x0f746f9edd3b5584ull, 1642.492647668528, 1},
+    {"synthetic-1", 16, "loc-mps", "", 0x4ce88df8b2d2942eull, 0.50913473795633357, 17},
 };
 // clang-format on
 
@@ -134,9 +143,9 @@ Workload make_workload(const std::string& name, std::size_t procs) {
     tp.max_procs = procs;
     return {make_ccsd_t1(tp), Cluster(procs)};
   }
-  if (name == "synthetic-1024") {
+  if (name == "synthetic-1" || name == "synthetic-1024") {
     SyntheticParams p;
-    p.min_tasks = p.max_tasks = 1024;
+    p.min_tasks = p.max_tasks = name == "synthetic-1" ? 1 : 1024;
     p.ccr = 0.5;
     p.max_procs = procs;
     Rng rng(1024);
@@ -171,12 +180,14 @@ Outcome run_faults(const Workload& w) {
 }
 
 Outcome compute(const GoldenRow& row) {
-  const Workload w = make_workload(row.workload, row.procs);
+  Workload w = make_workload(row.workload, row.procs);
   const std::string opt = row.options;
   if (opt == "faults") return run_faults(w);
+  if (opt == "no_overlap") w.cluster.overlap_comm_compute = false;
   SchedulerOptions so;
   if (opt == "incremental=0") so.incremental = false;
   if (opt == "plan_budget=8") so.plan_budget = 8;
+  if (opt == "slack=1.25") so.slack_factor = 1.25;
   SchedulerPtr sched = make_scheduler(row.scheme, so);
   obs::MetricsRegistry reg;
   obs::EventBuffer buf;
@@ -187,6 +198,8 @@ Outcome compute(const GoldenRow& row) {
     sched->attach_observability(&ctx);
   const SchedulerResult r = sched->schedule(w.g, w.cluster);
   EXPECT_TRUE(r.schedule.complete()) << row.workload;
+  EXPECT_EQ(r.schedule.validate(w.g, CommModel(w.cluster)), "")
+      << row.workload;
   return {digest(r.schedule), r.estimated_makespan, r.iterations};
 }
 
