@@ -9,9 +9,10 @@
 /// the same task with the same processor count as a recorded evaluation,
 /// the whole placement — timeline state, finish events, realized G'
 /// weights, pseudo-edges, even the per-placement counters — is provably
-/// identical, and the recorded step can be replayed without re-scanning a
-/// single hole. The first divergent pick marks the start of the dirty
-/// region; from there the scan runs in full. The from-scratch path
+/// identical, and the recorded step is committed again without scanning
+/// a single hole. The first divergent pick ends replay; from there the
+/// scan runs in full. A scanned and a replayed placement go through the
+/// same commit (schedulers/locbs.cpp). The from-scratch path
 /// (LocMPSOptions::incremental = false) never consults this context and
 /// serves as the differential-equivalence oracle (tests/test_incremental).
 ///
@@ -31,12 +32,13 @@
 
 namespace locmps {
 
-/// One committed placement of a recorded LoCBS pass: everything the
-/// commit wrote (schedule, timeline, G' weights, pseudo-edges) plus the
-/// per-placement telemetry the scan produced, so a replayed step leaves
-/// counters bit-identical to a re-scan. Steps are immutable once recorded
-/// and shared between successive records by pointer, so replaying a long
-/// prefix costs one refcount bump per step instead of a deep copy.
+/// One placement of a LoCBS pass, as the hole scan found it: everything
+/// the commit writes (schedule, timeline, G' weights, pseudo-edges) plus
+/// the per-placement telemetry of the scan, so a replayed step leaves
+/// counters bit-identical to a re-scan. Every placement is committed from
+/// one of these. Recorded steps are immutable and shared between
+/// successive records by pointer, so replaying a long prefix costs one
+/// refcount bump per step instead of a deep copy.
 struct ReplayStep {
   TaskId task = kNoTask;
   std::size_t np = 0;  ///< processor count at record time (validity key)
@@ -59,35 +61,23 @@ struct ReplayStep {
   double cost_evals = 0.0;  ///< comm.cost_evals delta of this placement
 };
 
-/// A full recorded LoCBS evaluation: the allocation it ran under, the
-/// static priorities it computed (so a later evaluation can prove which
-/// argmax picks cannot have changed), and its placement steps in commit
-/// order (frozen-prefix tasks excluded — the prefix is constant across a
-/// stream).
+/// A full recorded LoCBS evaluation: the allocation it ran under and its
+/// placement steps in commit order (frozen-prefix tasks excluded — the
+/// prefix is constant across a stream).
 struct ReplayRecord {
   Allocation np;
-  std::shared_ptr<const std::vector<double>> prio;
   std::vector<std::shared_ptr<const ReplayStep>> steps;
 };
 
-/// Dirty-region cache of the allocation-dependent LoCBS arrays (execution
-/// times, edge costs, bottom levels, priorities). Successive evaluations
-/// of a stream differ in a handful of np entries, so only the tasks and
-/// edges in the changed region — and the ancestors their bottom levels
-/// propagate to — are recomputed. Every recompute uses the exact
-/// arithmetic of the from-scratch pass, and untouched entries are
-/// by-induction bit-identical to what a full recompute would produce, so
-/// the cached arrays are indistinguishable from freshly computed ones.
+/// The allocation-dependent LoCBS arrays. Every pass computes them in
+/// full; a state kept across the passes of a stream reuses the buffers
+/// and computes the graph-constant topological order once.
 struct PriorityState {
-  bool valid = false;
-  Allocation np;
   std::vector<double> et;      ///< slack-inflated execution times
   std::vector<double> west;    ///< allocation-stage edge costs
   std::vector<double> bottom;  ///< bottom levels under (et, west)
   std::vector<double> prio;    ///< bottom + max in-edge cost
   std::vector<TaskId> order;   ///< topological order (graph-constant)
-  // Per-call scratch (sized once, cleared per update).
-  std::vector<char> et_changed, bottom_changed, prio_dirty, edge_seen;
 };
 
 /// Replay state of one evaluation stream. Not thread-safe by design;
@@ -100,7 +90,7 @@ class IncrementalContext {
   /// previous step.
   static constexpr std::size_t kMaxRecords = 8;
 
-  /// Dirty-region cache of the allocation-dependent arrays.
+  /// The stream's allocation-dependent arrays and topological order.
   PriorityState prio_state;
 
   /// The record with the longest np-compatible step prefix for \p np, or

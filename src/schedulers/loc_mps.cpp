@@ -66,7 +66,6 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   const std::size_t P = cluster.processors;
   obs::ObsContext* const obs = observability();
   obs::MetricsRegistry* const met = obs::metrics_of(obs);
-  obs::Profiler* const prof = obs::profiler_of(obs);
   obs::ScopedTimer run_timer(met, "locmps.run");
   LOCMPS_SPAN(obs, "locmps.run");
   CommModel comm(cluster);
@@ -109,11 +108,10 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
 
   // Incremental replanning (docs/incremental.md): the refinement stream's
   // LoCBS evaluations replay their unchanged placement prefix from a
-  // recorded earlier evaluation. Stands down when a sink or profiler is
-  // attached — those runs take the from-scratch reference path so traces
-  // and span shapes stay exact (the schedule is identical either way).
-  const bool incr_on =
-      opt_.incremental && !obs::wants_events(obs) && prof == nullptr;
+  // recorded earlier evaluation. Stands down when a sink is attached: a
+  // decision record needs the scan's shortlist and runner-up, which a
+  // replayed step does not have (the schedule is identical either way).
+  const bool incr_on = opt_.incremental && !obs::wants_events(obs);
   IncrementalContext session_incr;
   IncrementalContext* const incr = incr_on ? &session_incr : nullptr;
 
@@ -408,6 +406,7 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
     CriticalPathInfo cp;
     {
       obs::ScopedTimer cp_timer(met, "locmps.critical_path");
+      LOCMPS_SPAN(obs, "locmps.critical_path");
       cp = best_run.dag.critical_path();
     }
     ++round;

@@ -48,14 +48,13 @@ struct LocMPSOptions {
   /// Incremental replanning (docs/incremental.md): successive LoCBS
   /// evaluations of one refinement stream replay their unchanged placement
   /// prefix from a recorded earlier evaluation instead of re-scanning
-  /// every hole, and update priorities over the dirty region only.
-  /// Schedules, counters (minus the digest-excluded `incr.*` family), and
-  /// analyses stay bit-identical to the from-scratch path —
+  /// every hole. Schedules, counters (minus the digest-excluded `incr.*`
+  /// family), and analyses stay bit-identical to the from-scratch path —
   /// tests/test_incremental.cpp enforces this differentially on every
   /// workload. The machinery stands down automatically when an event sink
-  /// or profiler is attached (those runs take the reference path so traces
-  /// and span shapes stay exact). false = always from-scratch (the oracle
-  /// side of the differential harness).
+  /// is attached (decision records need the scan's shortlist, which a
+  /// replayed step does not keep); a profiler does not stop it. false =
+  /// always from-scratch (the oracle side of the differential harness).
   bool incremental = true;
 };
 

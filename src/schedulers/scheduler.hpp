@@ -37,11 +37,10 @@ struct SchedulerOptions {
 
   /// Incremental replanning (docs/incremental.md): LoC-MPS-backed schemes
   /// replay the unchanged prefix of each refinement-round LoCBS evaluation
-  /// from the previous round instead of re-scanning every task, and update
-  /// priorities over the dirty region only. Results are bit-identical to
-  /// the from-scratch path (the differential oracle of
-  /// tests/test_incremental); false forces the from-scratch reference.
-  /// Ignored by schemes without LoCBS.
+  /// from a recorded earlier one instead of re-scanning every task.
+  /// Results are bit-identical to the from-scratch path (the differential
+  /// oracle of tests/test_incremental); false forces the from-scratch
+  /// reference. Ignored by schemes without LoCBS.
   bool incremental = true;
 
   /// When > 0, caps the planner's refinement budget (LoCBS invocations for

@@ -2,19 +2,21 @@
 /// (schedulers/incremental.hpp, docs/incremental.md).
 ///
 /// The contract: LoC-MPS with `incremental = true` — prefix replay of
-/// recorded LoCBS evaluations and dirty-region priority updates — must be
-/// observably identical to the from-scratch reference on every workload:
-/// same placements, same makespan, same counters (outside the
-/// digest-excluded incr.* family), same sample-series values, same
-/// decision-event stream when traced, and the same post-mortem analysis.
-/// Only the incr.* counters may reveal which path ran. The suite runs every workload of the seeded
-/// sweep through both sides and asserts with the shared
+/// recorded LoCBS evaluations — must be observably identical to the
+/// from-scratch reference on every workload: same placements, same
+/// makespan, same counters (outside the digest-excluded incr.* family),
+/// same sample-series values, same decision-event stream when traced, and
+/// the same post-mortem analysis. Only the incr.* counters may reveal
+/// which path ran. The suite runs every workload of the seeded sweep
+/// through both sides, plus the small ones under every LoCBS variant and
+/// with a profiler attached, and asserts with the shared
 /// DifferentialChecker (tests/test_util.hpp).
 
 #include "schedulers/incremental.hpp"
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -24,6 +26,7 @@
 
 #include "network/comm_model.hpp"
 #include "obs/analysis.hpp"
+#include "obs/profile.hpp"
 #include "schedulers/loc_mps.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
@@ -38,10 +41,10 @@ using test::RunCapture;
 namespace {
 
 RunCapture run(const TaskGraph& g, const Cluster& cluster, bool incremental,
-               bool with_sink) {
-  LocMPSOptions opt;
+               bool with_sink, LocMPSOptions opt = {},
+               obs::Profiler* prof = nullptr) {
   opt.incremental = incremental;
-  return test::run_locmps_capture(g, cluster, opt, with_sink);
+  return test::run_locmps_capture(g, cluster, opt, with_sink, prof);
 }
 
 /// The seeded workload sweep: synthetic DAGs across CCR regimes, Strassen,
@@ -97,6 +100,72 @@ TEST(IncrementalOracle, TracedRunsAreBitIdentical) {
     const RunCapture off = run(g, cluster, false, /*with_sink=*/true);
     const RunCapture on = run(g, cluster, true, /*with_sink=*/true);
     DifferentialChecker(g).expect_identical(off, on, label + " traced");
+  }
+}
+
+/// The two small sweep workloads whose edges carry data: a synthetic DAG
+/// (15 tasks) and Strassen (22 tasks).
+std::vector<std::pair<std::string, TaskGraph>> small_workloads() {
+  std::vector<std::pair<std::string, TaskGraph>> ws;
+  for (auto& [label, g] : sweep_workloads())
+    if (label == "synthetic ccr=0.500000 #0" || label == "strassen 512")
+      ws.emplace_back(label, std::move(g));
+  return ws;
+}
+
+TEST(IncrementalOracle, LocBSVariantsAreBitIdentical) {
+  // Replay commits whatever the recorded scan found, so the contract must
+  // hold under every LoCBS switch, and on the no-overlap platform, where
+  // a committed busy_from precedes its start.
+  using Variant = std::function<void(LocMPSOptions&, Cluster&)>;
+  const std::vector<std::pair<std::string, Variant>> variants = {
+      {"backfill=false",
+       [](LocMPSOptions& o, Cluster&) { o.locbs.backfill = false; }},
+      {"locality=false",
+       [](LocMPSOptions& o, Cluster&) { o.locbs.locality = false; }},
+      {"comm_blind",
+       [](LocMPSOptions& o, Cluster&) { o.locbs.comm_blind = true; }},
+      {"slack_factor=1.25",
+       [](LocMPSOptions& o, Cluster&) { o.locbs.slack_factor = 1.25; }},
+      {"no overlap",
+       [](LocMPSOptions&, Cluster& c) { c.overlap_comm_compute = false; }},
+  };
+  const auto ws = small_workloads();
+  ASSERT_EQ(ws.size(), 2u);
+  for (const auto& [name, apply] : variants) {
+    for (const auto& [label, g] : ws) {
+      LocMPSOptions opt;
+      Cluster cluster(16);
+      apply(opt, cluster);
+      const RunCapture off = run(g, cluster, false, false, opt);
+      const RunCapture on = run(g, cluster, true, false, opt);
+      DifferentialChecker(g).expect_identical(off, on, label + " " + name);
+      EXPECT_GT(on.metrics.counter("incr.replayed_tasks"), 0.0)
+          << label << " " << name;
+    }
+  }
+}
+
+TEST(IncrementalOracle, ProfiledRunsReplayAndAreBitIdentical) {
+  // An attached profiler does not stop replay: the profiled run replays,
+  // matches the reference, and its profile opens one locbs.place span per
+  // scanned (not replayed) placement.
+  std::function<std::uint64_t(const obs::ProfileNode&)> places =
+      [&](const obs::ProfileNode& n) {
+        std::uint64_t c = n.name == "locbs.place" ? n.count : 0;
+        for (const obs::ProfileNode& ch : n.children) c += places(ch);
+        return c;
+      };
+  const Cluster cluster(16);
+  for (const auto& [label, g] : small_workloads()) {
+    obs::Profiler prof;
+    const RunCapture off = run(g, cluster, false, false);
+    const RunCapture on = run(g, cluster, true, false, {}, &prof);
+    DifferentialChecker(g).expect_identical(off, on, label + " profiled");
+    EXPECT_GT(on.metrics.counter("incr.replayed_tasks"), 0.0) << label;
+    EXPECT_EQ(static_cast<double>(places(prof.snapshot().root)),
+              on.metrics.counter("incr.dirty_tasks"))
+        << label;
   }
 }
 

@@ -520,14 +520,16 @@ inline bool digest_excluded(const std::string& name) {
 }
 
 /// Runs LoC-MPS once with full instrumentation and captures the output.
+/// \p prof, when given, is attached as well.
 inline RunCapture run_locmps_capture(const TaskGraph& g,
                                      const Cluster& cluster,
                                      const LocMPSOptions& opt,
-                                     bool with_sink) {
+                                     bool with_sink,
+                                     obs::Profiler* prof = nullptr) {
   LocMPSScheduler sched(opt);
   obs::MetricsRegistry reg;
   obs::EventBuffer buf;
-  obs::ObsContext ctx{&reg, with_sink ? &buf : nullptr};
+  obs::ObsContext ctx{&reg, with_sink ? &buf : nullptr, prof};
   sched.attach_observability(&ctx);
   RunCapture cap{sched.schedule(g, cluster), {}, {}};
   cap.metrics = reg.snapshot();
