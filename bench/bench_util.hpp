@@ -14,7 +14,7 @@
 /// running one instrumented LoC-MPS planning + execution pass and writes
 ///  * <path>             — the JSONL decision trace (docs/observability.md),
 ///  * <path>.trace.json  — a chrome trace whose "planner" track renders
-///    the scheduler's phase timers and counter series next to the
+///    the scheduler's profiler spans and counter series next to the
 ///    schedule. Open either trace in https://ui.perfetto.dev.
 /// `--report-out <path>` (LOCMPS_REPORT_OUT) additionally renders that
 /// run's post-mortem as a self-contained HTML report (obs/report.hpp);

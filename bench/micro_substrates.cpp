@@ -76,7 +76,7 @@ void BM_LoCBSPass(benchmark::State& state) {
 BENCHMARK(BM_LoCBSPass)->Arg(16)->Arg(64)->Arg(128);
 
 // The same pass with a metrics registry attached: quantifies the cost of
-// counter/timer flushing (the obs-off overhead is the null branch in
+// counter flushing (the obs-off overhead is the null branch in
 // BM_LoCBSPass itself — compare against a pre-obs baseline).
 void BM_LoCBSPassMetrics(benchmark::State& state) {
   const std::size_t P = state.range(0);

@@ -37,8 +37,8 @@ struct SchemeRun {
   std::size_t iterations = 0;
   Allocation allocation;
   Schedule schedule;
-  /// Counters, phase timers, and sample series collected while planning
-  /// and executing this run (see docs/observability.md for the taxonomy).
+  /// Counters and sample series collected while planning and executing
+  /// this run (see docs/observability.md for the taxonomy).
   obs::MetricsSnapshot counters;
   /// Post-mortem analytics of the realized schedule (utilization, locality
   /// breakdown, critical path, start-delay blame, backfill effectiveness),

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "network/block_cyclic.hpp"
+#include "obs/profile.hpp"
 #include "schedule/event_sim.hpp"
 
 namespace locmps {
@@ -107,7 +108,7 @@ RecoveryResult run_with_faults(const TaskGraph& g, const Cluster& cluster,
 
   obs::ObsContext* const obs = opt.obs;
   obs::MetricsRegistry* const met = obs::metrics_of(obs);
-  obs::ScopedTimer run_timer(met, "recovery.run");
+  LOCMPS_SPAN(obs, "recovery.run");
   CommModel comm(cluster);
   LocMPSScheduler planner(opt.planner);
   planner.attach_observability(obs);

@@ -112,7 +112,8 @@ struct RecoveryOptions {
 
   /// Optional observability: "fault.*" / "recovery.*" counters and events,
   /// planner decision telemetry, and the final clean execution's "sim.*"
-  /// telemetry all land here.
+  /// telemetry all land here; a profiler records the call as one
+  /// "recovery.run" span.
   obs::ObsContext* obs = nullptr;
 };
 

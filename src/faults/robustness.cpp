@@ -20,7 +20,6 @@ RobustnessReport score_robustness(const TaskGraph& g, const Schedule& s,
 
   obs::ObsContext* const obs = opt.obs;
   obs::MetricsRegistry* const met = obs::metrics_of(obs);
-  obs::ScopedTimer timer(met, "robust.score");
   LOCMPS_SPAN(obs, "robust.score");
 
   const std::size_t P = s.num_procs();

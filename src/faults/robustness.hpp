@@ -46,8 +46,9 @@ struct RobustnessOptions {
   /// Confidence level of the median CI.
   double confidence = 0.95;
 
-  /// Optional observability: "robust.*" summary gauges and one
-  /// "robust.sample" event per ensemble member.
+  /// Optional observability: "robust.*" summary gauges, one
+  /// "robust.sample" event per ensemble member, and a "robust.score"
+  /// profiler span.
   obs::ObsContext* obs = nullptr;
 };
 

@@ -126,7 +126,7 @@ std::string json_escape(std::string_view in);
 /// a truncated decision trace is never silent.
 class LOCMPS_THREAD_COMPATIBLE EventBuffer final : public EventSink {
  public:
-  /// Retention bound, mirroring MetricsRegistry::kMaxSpans in spirit:
+  /// Retention bound, like MetricsRegistry::kMaxSamples in spirit:
   /// small enough that a runaway emitter cannot exhaust memory. It is NOT
   /// large enough for every traced plan: a LoC-MPS plan of a 50-task
   /// synthetic DAG on 16 processors emits about 6 x 10^5 events. Callers

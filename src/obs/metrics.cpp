@@ -12,12 +12,6 @@ double MetricsSnapshot::counter(std::string_view name, double fallback) const {
   return it->second;
 }
 
-const TimerStats* MetricsSnapshot::timer(std::string_view name) const {
-  for (const TimerStats& t : timers)
-    if (t.name == name) return &t;
-  return nullptr;
-}
-
 const SeriesStats* MetricsSnapshot::find_series(std::string_view name) const {
   for (const SeriesStats& s : series)
     if (s.name == name) return &s;
@@ -38,18 +32,8 @@ void MetricsRegistry::sample(std::string_view name, double value) {
     it->second.points.push_back(SamplePoint{now(), value});
 }
 
-void MetricsRegistry::record_span(const std::string& name, double begin_s,
-                                  double end_s) {
-  TimerData& td = timers_[name];
-  td.total_s += end_s - begin_s;
-  td.count += 1;
-  if (td.spans.size() < kMaxSpans)
-    td.spans.push_back(TimerSpan{begin_s, end_s});
-}
-
 void MetricsRegistry::reset() {
   counters_.clear();
-  timers_.clear();
   series_.clear();
   epoch_.reset();
 }
@@ -59,15 +43,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   snap.counters.reserve(counters_.size());
   for (const auto& [name, value] : counters_)
     snap.counters.emplace_back(name, value);
-  snap.timers.reserve(timers_.size());
-  for (const auto& [name, td] : timers_) {
-    TimerStats ts;
-    ts.name = name;
-    ts.total_s = td.total_s;
-    ts.count = td.count;
-    ts.spans = td.spans;
-    snap.timers.push_back(std::move(ts));
-  }
   snap.series.reserve(series_.size());
   for (const auto& [name, sd] : series_) {
     SeriesStats ss;

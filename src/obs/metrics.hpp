@@ -2,16 +2,17 @@
 /// \file metrics.hpp
 /// Scheduler observability: a lightweight metrics registry.
 ///
-/// The registry holds three kinds of instruments, all identified by
+/// The registry holds two kinds of instruments, both identified by
 /// dotted names ("locbs.holes_scanned", "locmps.best_makespan"):
 ///  * counters — monotonically accumulated doubles (counts or byte sums);
-///  * phase timers — wall-clock accumulators fed by RAII ScopedTimer,
-///    which also record bounded begin/end spans for trace export;
 ///  * sample series — (time, value) points for counter tracks in traces.
+///
+/// Where planning time goes is the profiler's job (obs/profile.hpp): its
+/// spans are the planner's one timing mechanism.
 ///
 /// Design rules:
 ///  * Instrumented code paths take an optional registry pointer; a null
-///    pointer must cost exactly one predictable branch (see obs.hpp's
+///    pointer must cost exactly one predictable branch (see events.hpp's
 ///    ObsContext). Hot loops accumulate into locals and flush once per
 ///    placement/iteration.
 ///  * cell() returns a stable double* so per-call hot counters (e.g. the
@@ -21,7 +22,6 @@
 ///    registry per run (core/experiment.cpp does).
 
 #include <cstddef>
-#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
@@ -32,22 +32,8 @@
 
 namespace locmps::obs {
 
-/// One begin/end interval of a phase timer, in seconds since the
-/// registry's epoch (construction or last reset()).
-struct TimerSpan {
-  double begin_s = 0.0;
-  double end_s = 0.0;
-};
-
-/// Snapshot of one phase timer.
-struct TimerStats {
-  std::string name;
-  double total_s = 0.0;         ///< summed span durations
-  std::uint64_t count = 0;      ///< number of completed spans
-  std::vector<TimerSpan> spans; ///< bounded recording (kMaxSpans)
-};
-
-/// One point of a sample series, in seconds since the registry's epoch.
+/// One point of a sample series, in seconds since the registry's epoch
+/// (construction or last reset()).
 struct SamplePoint {
   double t_s = 0.0;
   double value = 0.0;
@@ -63,14 +49,11 @@ struct SeriesStats {
 /// dies (SchemeRun carries one per evaluated scheme).
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, double>> counters; ///< sorted by name
-  std::vector<TimerStats> timers;
   std::vector<SeriesStats> series;
 
   /// Counter value by name; \p fallback when absent.
   [[nodiscard]] double counter(std::string_view name,
                                double fallback = 0.0) const;
-  /// Timer stats by name; nullptr when absent.
-  [[nodiscard]] const TimerStats* timer(std::string_view name) const;
   /// Series by name; nullptr when absent.
   [[nodiscard]] const SeriesStats* find_series(std::string_view name) const;
 };
@@ -81,9 +64,8 @@ struct MetricsSnapshot {
 /// (core/experiment.cpp) — sharing one registry across workers is a bug.
 class LOCMPS_THREAD_COMPATIBLE MetricsRegistry {
  public:
-  /// Bounds on per-instrument recording so long optimization runs cannot
-  /// grow snapshots without limit (totals keep accumulating past these).
-  static constexpr std::size_t kMaxSpans = 16384;
+  /// Bound on each series' recording so long optimization runs cannot
+  /// grow snapshots without limit.
   static constexpr std::size_t kMaxSamples = 16384;
 
   MetricsRegistry() = default;
@@ -108,40 +90,8 @@ class LOCMPS_THREAD_COMPATIBLE MetricsRegistry {
   /// Appends a sample point (stamped now()) to the named series.
   void sample(std::string_view name, double value);
 
-  /// Seconds since the registry epoch, on the same clock the timers use.
+  /// Seconds since the registry epoch: the sample series' timebase.
   double now() const { return epoch_.seconds(); }
-
-  /// RAII phase timer: measures construction-to-destruction and records a
-  /// span. Constructible from a null registry (no-op) so call sites can
-  /// instrument unconditionally.
-  class ScopedTimer {
-   public:
-    ScopedTimer(MetricsRegistry* reg, std::string_view name)
-        : reg_(reg), begin_s_(reg != nullptr ? reg->now() : 0.0) {
-      if (reg_ != nullptr) name_.assign(name);
-    }
-    ScopedTimer(const ScopedTimer&) = delete;
-    ScopedTimer& operator=(const ScopedTimer&) = delete;
-    ~ScopedTimer() { stop(); }
-
-    /// Ends the span early (idempotent).
-    void stop() {
-      if (reg_ == nullptr) return;
-      reg_->record_span(name_, begin_s_, reg_->now());
-      reg_ = nullptr;
-    }
-
-   private:
-    MetricsRegistry* reg_;
-    double begin_s_;
-    std::string name_;
-  };
-
-  /// Discarding the returned timer would close its span immediately and
-  /// record a ~zero-length phase — hence [[nodiscard]].
-  [[nodiscard]] ScopedTimer time_phase(std::string_view name) {
-    return ScopedTimer(this, name);
-  }
 
   /// Clears every instrument and restarts the epoch.
   void reset();
@@ -149,28 +99,17 @@ class LOCMPS_THREAD_COMPATIBLE MetricsRegistry {
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
  private:
-  friend class ScopedTimer;
-
-  struct TimerData {
-    double total_s = 0.0;
-    std::uint64_t count = 0;
-    std::vector<TimerSpan> spans;
-  };
   struct SeriesData {
     std::vector<SamplePoint> points;
   };
 
   double& cell(std::string_view name);
-  void record_span(const std::string& name, double begin_s, double end_s);
 
   // std::map: node-based, so cell_ptr() addresses stay stable across
   // inserts; heterogeneous lookup avoids a temporary string per query.
   std::map<std::string, double, std::less<>> counters_;
-  std::map<std::string, TimerData, std::less<>> timers_;
   std::map<std::string, SeriesData, std::less<>> series_;
   Stopwatch epoch_;
 };
-
-using ScopedTimer = MetricsRegistry::ScopedTimer;
 
 }  // namespace locmps::obs

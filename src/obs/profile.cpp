@@ -164,7 +164,7 @@ void Profiler::close_span() {
   f.node->cpu_s += cpu1 - f.cpu0;
   f.node->alloc_bytes += bytes1 - f.bytes0;
   f.node->allocs += allocs1 - f.allocs0;
-  if (intervals_.size() < kMaxIntervals) {
+  if (f.node->count <= kMaxIntervals) {
     ProfileInterval iv;
     iv.name = *f.name;
     iv.depth = static_cast<int>(stack_.size());
@@ -196,6 +196,7 @@ ProfileSnapshot Profiler::snapshot() const {
   ProfileSnapshot out;
   copy_node(root_, "", out.root);
   out.intervals = intervals_;
+  out.intervals_dropped = intervals_dropped_;
   return out;
 }
 

@@ -103,9 +103,7 @@ struct ProfileNode {
 };
 
 /// One closed span occurrence, for the Perfetto nested-slice export.
-/// Times are seconds since the owning profiler's epoch. Only recorded
-/// by interval-recording profilers (the session profiler); probe
-/// profilers skip them because their epochs are not comparable.
+/// Times are seconds since the owning profiler's epoch.
 struct ProfileInterval {
   std::string name;  ///< leaf span name
   int depth = 0;     ///< nesting depth at open (root spans are 0)
@@ -118,7 +116,9 @@ struct ProfileInterval {
 /// aggregates of its own; totals live in its children.
 struct ProfileSnapshot {
   ProfileNode root;
-  std::vector<ProfileInterval> intervals;
+  std::vector<ProfileInterval> intervals;  ///< in close order
+  /// Closes left out of `intervals` by the per-node kMaxIntervals bound.
+  std::uint64_t intervals_dropped = 0;
 
   bool empty() const { return root.children.empty(); }
 
@@ -133,8 +133,10 @@ struct ProfileSnapshot {
 /// contract (thread-compatible, one recording thread at a time).
 class LOCMPS_THREAD_COMPATIBLE Profiler {
  public:
-  /// Bound on retained ProfileIntervals, mirroring the metrics span cap:
-  /// aggregates keep accumulating after the cap, intervals stop.
+  /// Per-node bound on retained ProfileIntervals: each span-tree node
+  /// logs the intervals of its first kMaxIntervals closes, so a hot inner
+  /// span cannot crowd the outer spans out of the log. Aggregates keep
+  /// accumulating past the bound; the dropped closes are counted.
   static constexpr std::size_t kMaxIntervals = 16384;
 
   Profiler();
@@ -173,9 +175,6 @@ class LOCMPS_THREAD_COMPATIBLE Profiler {
   /// Clears the tree, the interval log, and the epoch. Must not be
   /// called while spans are open.
   void reset();
-
-  /// Number of intervals dropped to the kMaxIntervals cap so far.
-  std::uint64_t intervals_dropped() const { return intervals_dropped_; }
 
  private:
   struct Node {

@@ -81,7 +81,6 @@ SimResult simulate_execution(const TaskGraph& g, const Schedule& s,
   res.executed = Schedule(n, P);
 
   obs::ObsContext* const obs = opt.obs;
-  obs::ScopedTimer sim_timer(obs::metrics_of(obs), "sim.execute");
   LOCMPS_SPAN(obs, "sim.execute");
   // Realized-redistribution telemetry, flushed once after the replay.
   std::uint64_t obs_transfers = 0, obs_local_edges = 0;

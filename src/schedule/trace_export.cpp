@@ -1,6 +1,6 @@
 #include "schedule/trace_export.hpp"
 
-#include <algorithm>
+#include <ios>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -13,68 +13,56 @@ namespace {
 
 using obs::json_escape;
 
-/// Emits the planner process: one thread per phase timer (spans as "X"
-/// slices) and one Perfetto counter track per sample series. All planner
-/// times are wall-clock seconds since the metrics epoch, scaled to
-/// microseconds.
-void write_planner_track(std::ostream& os, bool& first,
-                         const obs::MetricsSnapshot& planner) {
-  constexpr double kScale = 1e6;
-  auto comma = [&] {
-    if (!first) os << ",";
-    first = false;
-  };
-  comma();
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
-        "\"args\":{\"name\":\"planner\"}}";
-  int tid = 0;
-  for (const obs::TimerStats& timer : planner.timers) {
-    comma();
-    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-       << ",\"args\":{\"name\":\"" << json_escape(timer.name) << "\"}}";
-    for (const obs::TimerSpan& span : timer.spans) {
-      const double dur = span.end_s - span.begin_s;
-      if (dur < 0.0) continue;  // clock skew guard; never emit negative
-      comma();
-      os << "{\"name\":\"" << json_escape(timer.name)
-         << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << tid
-         << ",\"ts\":" << span.begin_s * kScale << ",\"dur\":" << dur * kScale
-         << "}";
-    }
-    ++tid;
-  }
-  for (const obs::SeriesStats& series : planner.series) {
-    for (const obs::SamplePoint& pt : series.points) {
-      comma();
-      os << "{\"name\":\"" << json_escape(series.name)
-         << "\",\"ph\":\"C\",\"pid\":1,\"ts\":" << pt.t_s * kScale
-         << ",\"args\":{\"value\":" << pt.value << "}}";
-    }
-  }
+/// Trace Event Format times are microseconds.
+constexpr double kUs = 1e6;
+
+/// Writes the separator that precedes every event but the first.
+void sep(std::ostream& os, bool& first) {
+  if (!first) os << ",";
+  first = false;
 }
 
-/// Emits the session profiler's span intervals as one planner thread of
-/// nested "X" slices (tid \p tid following the timer threads). Perfetto
-/// nests slices on a thread by time containment, which the profiler's
-/// strict open/close discipline guarantees.
-void write_profile_track(std::ostream& os, bool& first,
-                         const obs::ProfileSnapshot& profile, int tid) {
-  constexpr double kScale = 1e6;
-  auto comma = [&] {
-    if (!first) os << ",";
-    first = false;
-  };
-  comma();
-  os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-     << ",\"args\":{\"name\":\"profile.spans\"}}";
-  for (const obs::ProfileInterval& iv : profile.intervals) {
-    const double dur = iv.end_s - iv.begin_s;
-    if (dur < 0.0) continue;  // clock skew guard; never emit negative
-    comma();
-    os << "{\"name\":\"" << json_escape(iv.name)
-       << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << tid
-       << ",\"ts\":" << iv.begin_s * kScale << ",\"dur\":" << dur * kScale
-       << ",\"args\":{\"depth\":" << iv.depth << "}}";
+/// Emits the planner process: the profile's span intervals as one
+/// thread of nested "X" slices (Perfetto nests slices on a thread by time
+/// containment, which the profiler's strict open/close discipline
+/// guarantees) and one Perfetto counter track per sample series.
+void write_planner_track(std::ostream& os, bool& first,
+                         const obs::MetricsSnapshot* series,
+                         const obs::ProfileSnapshot* profile) {
+  sep(os, first);
+  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
+        "\"args\":{\"name\":\"planner\"}}";
+  if (profile != nullptr && !profile->empty()) {
+    sep(os, first);
+    os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+          "\"args\":{\"name\":\"profile.spans\",\"intervals_dropped\":"
+       << profile->intervals_dropped << "}}";
+    // Span times run to seconds of wall time: the stream's default six
+    // significant digits would round them to 10 us or coarser and misnest
+    // short slices, so they are written in fixed-point nanoseconds.
+    const std::ios::fmtflags flags = os.flags();
+    const std::streamsize precision = os.precision(3);
+    os << std::fixed;
+    for (const obs::ProfileInterval& iv : profile->intervals) {
+      const double dur = iv.end_s - iv.begin_s;
+      if (dur < 0.0) continue;  // clock skew guard; never emit negative
+      sep(os, first);
+      os << "{\"name\":\"" << json_escape(iv.name)
+         << "\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":"
+         << iv.begin_s * kUs << ",\"dur\":" << dur * kUs
+         << ",\"args\":{\"depth\":" << iv.depth << "}}";
+    }
+    os.flags(flags);
+    os.precision(precision);
+  }
+  if (series == nullptr) return;
+  for (const obs::SeriesStats& ser : series->series) {
+    for (const obs::SamplePoint& pt : ser.points) {
+      sep(os, first);
+      os << "{\"name\":\"" << json_escape(ser.name)
+         << "\",\"ph\":\"C\",\"pid\":1,\"ts\":" << pt.t_s * kUs
+         << ",\"args\":{\"value\":" << pt.value << "}}";
+    }
   }
 }
 
@@ -82,9 +70,8 @@ void write_profile_track(std::ostream& os, bool& first,
 
 void write_chrome_trace(std::ostream& os, const TaskGraph& g,
                         const Schedule& s,
-                        const obs::MetricsSnapshot* planner,
-                        const obs::ProfileSnapshot* profile,
-                        double time_scale) {
+                        const obs::MetricsSnapshot* series,
+                        const obs::ProfileSnapshot* profile) {
   if (!s.complete())
     throw std::invalid_argument("write_chrome_trace: incomplete schedule");
   os << "{\"traceEvents\":[";
@@ -92,12 +79,10 @@ void write_chrome_trace(std::ostream& os, const TaskGraph& g,
   auto slice = [&](const std::string& name, ProcId proc, double from,
                    double to, TaskId t, std::size_t np) {
     if (to <= from) return;
-    if (!first) os << ",";
-    first = false;
+    sep(os, first);
     os << "{\"name\":\"" << json_escape(name)
        << "\",\"ph\":\"X\",\"pid\":0,\"tid\":" << proc
-       << ",\"ts\":" << from * time_scale
-       << ",\"dur\":" << (to - from) * time_scale
+       << ",\"ts\":" << from * kUs << ",\"dur\":" << (to - from) * kUs
        << ",\"args\":{\"task\":" << t << ",\"np\":" << np << "}}";
   };
   for (TaskId t = 0; t < s.num_tasks(); ++t) {
@@ -110,56 +95,22 @@ void write_chrome_trace(std::ostream& os, const TaskGraph& g,
   }
   // Name the processor rows.
   for (ProcId q = 0; q < s.num_procs(); ++q) {
-    if (!first) os << ",";
-    first = false;
+    sep(os, first);
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << q
        << ",\"args\":{\"name\":\"P" << q << "\"}}";
   }
-  if (planner != nullptr || (profile != nullptr && !profile->empty())) {
-    if (!first) os << ",";
-    first = false;
+  if (series != nullptr || (profile != nullptr && !profile->empty())) {
+    sep(os, first);
     os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,"
           "\"args\":{\"name\":\"schedule\"}}";
-    int tid = 0;
-    if (planner != nullptr) {
-      write_planner_track(os, first, *planner);
-      tid = static_cast<int>(planner->timers.size());
-    } else {
-      if (!first) os << ",";
-      first = false;
-      os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,"
-            "\"args\":{\"name\":\"planner\"}}";
-    }
-    if (profile != nullptr && !profile->empty())
-      write_profile_track(os, first, *profile, tid);
+    write_planner_track(os, first, series, profile);
   }
   os << "]}";
 }
 
-void write_chrome_trace(std::ostream& os, const TaskGraph& g,
-                        const Schedule& s,
-                        const obs::MetricsSnapshot* planner,
-                        double time_scale) {
-  write_chrome_trace(os, g, s, planner, nullptr, time_scale);
-}
-
-void write_chrome_trace(std::ostream& os, const TaskGraph& g,
-                        const Schedule& s, double time_scale) {
-  write_chrome_trace(os, g, s, nullptr, nullptr, time_scale);
-}
-
-std::string chrome_trace(const TaskGraph& g, const Schedule& s,
-                         double time_scale) {
+std::string chrome_trace(const TaskGraph& g, const Schedule& s) {
   std::ostringstream os;
-  write_chrome_trace(os, g, s, nullptr, time_scale);
-  return os.str();
-}
-
-std::string chrome_trace(const TaskGraph& g, const Schedule& s,
-                         const obs::MetricsSnapshot& planner,
-                         double time_scale) {
-  std::ostringstream os;
-  write_chrome_trace(os, g, s, &planner, time_scale);
+  write_chrome_trace(os, g, s);
   return os.str();
 }
 

@@ -6,11 +6,11 @@
 /// allocation details in the slice arguments. A practical complement to
 /// the ASCII Gantt for large schedules.
 ///
-/// A second, optional track renders the *planner's* own telemetry (an
-/// obs::MetricsSnapshot from an instrumented run): each phase timer
-/// becomes a thread of "X" slices and each sample series a Perfetto
-/// counter track, so one file shows both what was scheduled and how the
-/// scheduler spent its time deciding (docs/observability.md).
+/// A second, optional process renders the *planner's* own telemetry: the
+/// profiler's span intervals (obs::ProfileSnapshot) become one thread of
+/// nested "X" slices and each sample series of an obs::MetricsSnapshot a
+/// Perfetto counter track, so one file shows both what was scheduled and
+/// how the scheduler spent its time deciding (docs/observability.md).
 
 #include <iosfwd>
 #include <string>
@@ -22,44 +22,26 @@
 
 namespace locmps {
 
-/// Writes \p s as Trace Event Format JSON. Times are exported in
-/// microseconds (the format's unit); \p time_scale converts schedule
-/// seconds to exported microseconds (default 1e6 = real seconds).
-/// A leading busy window (busy_from < start, no-overlap redistributions)
-/// is emitted as a separate "recv:" slice.
+/// Writes \p s as Trace Event Format JSON, schedule seconds exported as
+/// microseconds (the format's unit). A leading busy window
+/// (busy_from < start, no-overlap redistributions) is emitted as a
+/// separate "recv:" slice.
 ///
-/// When \p planner is non-null its timers/series are emitted under a
-/// separate "planner" process (pid 1). Planner times are wall-clock
-/// seconds since the metrics epoch, always scaled by 1e6 — the schedule
-/// and planner tracks sit on different clocks but load side by side.
+/// When \p series or a non-empty \p profile is given, a separate
+/// "planner" process (pid 1) follows. \p profile's span intervals form
+/// its "profile.spans" thread; spans nest properly in time, so Perfetto
+/// stacks them into the planner's flamegraph-style hierarchy, and the
+/// thread's metadata carries the profile's intervals_dropped. \p series'
+/// sample series form its counter tracks. Planner times are wall-clock
+/// seconds since the profiler's epoch (spans) or the registry's
+/// (series) — the schedule and planner tracks sit on different clocks
+/// but load side by side.
 void write_chrome_trace(std::ostream& os, const TaskGraph& g,
                         const Schedule& s,
-                        const obs::MetricsSnapshot* planner,
-                        double time_scale = 1e6);
+                        const obs::MetricsSnapshot* series = nullptr,
+                        const obs::ProfileSnapshot* profile = nullptr);
 
-/// Full overload: additionally renders \p profile (a session profiler's
-/// ProfileSnapshot) as one more planner thread, "profile.spans", whose
-/// "X" slices are the recorded span intervals. Spans nest properly in
-/// time, so Perfetto stacks them into the planner's flamegraph-style
-/// hierarchy. Interval times are seconds since the profiler's epoch
-/// (the same convention as the timer spans).
-void write_chrome_trace(std::ostream& os, const TaskGraph& g,
-                        const Schedule& s,
-                        const obs::MetricsSnapshot* planner,
-                        const obs::ProfileSnapshot* profile,
-                        double time_scale = 1e6);
-
-/// Schedule-only overload (no planner track).
-void write_chrome_trace(std::ostream& os, const TaskGraph& g,
-                        const Schedule& s, double time_scale = 1e6);
-
-/// Convenience: returns the JSON as a string.
-std::string chrome_trace(const TaskGraph& g, const Schedule& s,
-                         double time_scale = 1e6);
-
-/// Convenience with a planner track.
-std::string chrome_trace(const TaskGraph& g, const Schedule& s,
-                         const obs::MetricsSnapshot& planner,
-                         double time_scale = 1e6);
+/// Convenience: returns the schedule-only JSON as a string.
+std::string chrome_trace(const TaskGraph& g, const Schedule& s);
 
 }  // namespace locmps

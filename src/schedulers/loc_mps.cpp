@@ -66,7 +66,6 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   const std::size_t P = cluster.processors;
   obs::ObsContext* const obs = observability();
   obs::MetricsRegistry* const met = obs::metrics_of(obs);
-  obs::ScopedTimer run_timer(met, "locmps.run");
   LOCMPS_SPAN(obs, "locmps.run");
   CommModel comm(cluster);
   if (met != nullptr)
@@ -261,7 +260,6 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
       if (iter > 0) {
         CriticalPathInfo cp;
         {
-          obs::ScopedTimer cp_timer(met, "locmps.critical_path");
           LOCMPS_SPAN(obs, "locmps.critical_path");
           cp = cur->dag.critical_path();
         }
@@ -405,7 +403,6 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   while (calls < opt_.max_locbs_calls) {
     CriticalPathInfo cp;
     {
-      obs::ScopedTimer cp_timer(met, "locmps.critical_path");
       LOCMPS_SPAN(obs, "locmps.critical_path");
       cp = best_run.dag.critical_path();
     }

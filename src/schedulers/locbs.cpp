@@ -661,7 +661,6 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
   const std::size_t n = g.num_tasks();
   const std::size_t P = comm.cluster().processors;
   obs::MetricsRegistry* const met = obs::metrics_of(obs);
-  obs::ScopedTimer pass_timer(met, "locbs.pass");
   LOCMPS_SPAN(obs, "locbs.pass");
   if (met != nullptr) met->add("locbs.calls");
   if (np.size() != n)

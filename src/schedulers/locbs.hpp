@@ -107,7 +107,7 @@ struct FixedPrefix {
 ///
 /// \p obs (optional) receives per-placement decision telemetry: "locbs.*"
 /// counters (holes scanned, backfill hits, subset choices, local/remote
-/// redistribution bytes), a "locbs.pass" phase timer, and one
+/// redistribution bytes), a "locbs.pass" profiler span, and one
 /// "locbs.place" plus one "locbs.decision" provenance event per task
 /// (obs/provenance.hpp documents the record schema). Null — the default —
 /// is a zero-cost fast path: all instrumentation hides behind

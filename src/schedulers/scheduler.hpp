@@ -71,7 +71,7 @@ class Scheduler {
                                    const Cluster& cluster) const = 0;
 
   /// Attaches an observability context for subsequent schedule() calls
-  /// (counters, phase timers, decision events — see src/obs/). Null (the
+  /// (counters, profiler spans, decision events — see src/obs/). Null (the
   /// default) disables instrumentation at the cost of a single branch.
   /// The caller keeps ownership and must outlive the scheduling calls.
   void attach_observability(obs::ObsContext* obs) { obs_ = obs; }

@@ -44,11 +44,9 @@ TEST(ObsMetrics, ResetClearsEverythingAndRestartsEpoch) {
   MetricsRegistry m;
   m.add("c", 3.0);
   m.sample("s", 1.0);
-  { ScopedTimer t(&m, "ph"); }
   m.reset();
   const MetricsSnapshot snap = m.snapshot();
   EXPECT_TRUE(snap.counters.empty());
-  EXPECT_TRUE(snap.timers.empty());
   EXPECT_TRUE(snap.series.empty());
   EXPECT_GE(m.now(), 0.0);
 }
@@ -69,65 +67,6 @@ TEST(ObsMetrics, SnapshotIsSortedAndIndependent) {
   EXPECT_DOUBLE_EQ(snap.counter("aa"), 1.0);
 }
 
-TEST(ObsMetrics, ScopedTimerRecordsOrderedSpans) {
-  MetricsRegistry m;
-  { ScopedTimer t(&m, "phase"); }
-  { ScopedTimer t(&m, "phase"); }
-  const MetricsSnapshot snap = m.snapshot();
-  const TimerStats* ph = snap.timer("phase");
-  ASSERT_NE(ph, nullptr);
-  EXPECT_EQ(ph->count, 2u);
-  ASSERT_EQ(ph->spans.size(), 2u);
-  EXPECT_GE(ph->total_s, 0.0);
-  for (const TimerSpan& s : ph->spans) {
-    EXPECT_GE(s.begin_s, 0.0);
-    EXPECT_GE(s.end_s, s.begin_s);
-  }
-  // Spans are recorded in completion order.
-  EXPECT_LE(ph->spans[0].end_s, ph->spans[1].end_s);
-  EXPECT_EQ(snap.timer("absent"), nullptr);
-}
-
-TEST(ObsMetrics, ScopedTimersNest) {
-  MetricsRegistry m;
-  {
-    ScopedTimer outer(&m, "outer");
-    {
-      ScopedTimer inner(&m, "inner");
-    }
-  }
-  const MetricsSnapshot snap = m.snapshot();
-  const TimerStats* outer = snap.timer("outer");
-  const TimerStats* inner = snap.timer("inner");
-  ASSERT_NE(outer, nullptr);
-  ASSERT_NE(inner, nullptr);
-  ASSERT_EQ(outer->spans.size(), 1u);
-  ASSERT_EQ(inner->spans.size(), 1u);
-  // The inner span is contained in the outer one, and the inner
-  // accumulated time cannot exceed the outer.
-  EXPECT_LE(outer->spans[0].begin_s, inner->spans[0].begin_s);
-  EXPECT_GE(outer->spans[0].end_s, inner->spans[0].end_s);
-  EXPECT_LE(inner->total_s, outer->total_s + 1e-12);
-}
-
-TEST(ObsMetrics, ScopedTimerStopIsIdempotent) {
-  MetricsRegistry m;
-  {
-    ScopedTimer t(&m, "once");
-    t.stop();
-    t.stop();  // second stop and the destructor must not add spans
-  }
-  const MetricsSnapshot snap = m.snapshot();
-  const TimerStats* once = snap.timer("once");
-  ASSERT_NE(once, nullptr);
-  EXPECT_EQ(once->count, 1u);
-}
-
-TEST(ObsMetrics, NullRegistryTimerIsANoOp) {
-  ScopedTimer t(nullptr, "ignored");
-  t.stop();  // must not crash, must not dereference anything
-}
-
 TEST(ObsMetrics, SampleSeriesKeepTimeOrderedPoints) {
   MetricsRegistry m;
   m.sample("ms", 10.0);
@@ -143,15 +82,6 @@ TEST(ObsMetrics, SampleSeriesKeepTimeOrderedPoints) {
   for (std::size_t i = 1; i < ms->points.size(); ++i)
     EXPECT_LE(ms->points[i - 1].t_s, ms->points[i].t_s);
   EXPECT_EQ(snap.find_series("absent"), nullptr);
-}
-
-TEST(ObsMetrics, TimePhaseHelperReturnsAWorkingTimer) {
-  MetricsRegistry m;
-  { auto t = m.time_phase("helper"); }
-  const MetricsSnapshot snap = m.snapshot();
-  const TimerStats* h = snap.timer("helper");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 1u);
 }
 
 TEST(ObsMetrics, NowIsMonotonic) {

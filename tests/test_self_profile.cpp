@@ -11,11 +11,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "faults/fault_plan.hpp"
+#include "faults/recovery.hpp"
+#include "faults/robustness.hpp"
 #include "obs/events.hpp"
 #include "obs/flame.hpp"
 #include "obs/log.hpp"
@@ -83,16 +89,25 @@ TEST(Profiler, ResetClearsEverything) {
 }
 
 TEST(Profiler, IntervalLogIsBoundedAggregatesAreNot) {
+  // The bound is per span node: the outer span, closing after its inner
+  // span's log is full, still records its interval.
   obs::Profiler p;
   const std::size_t n = obs::Profiler::kMaxIntervals + 10;
-  for (std::size_t i = 0; i < n; ++i) {
-    auto s = p.span("tick");
+  {
+    auto outer = p.span("outer");
+    for (std::size_t i = 0; i < n; ++i) {
+      auto s = p.span("tick");
+    }
   }
   const obs::ProfileSnapshot snap = p.snapshot();
-  EXPECT_EQ(snap.intervals.size(), obs::Profiler::kMaxIntervals);
-  EXPECT_EQ(p.intervals_dropped(), 10u);
-  ASSERT_NE(snap.find("tick"), nullptr);
-  EXPECT_EQ(snap.find("tick")->count, n);
+  ASSERT_EQ(snap.intervals.size(), obs::Profiler::kMaxIntervals + 1);
+  EXPECT_EQ(snap.intervals_dropped, 10u);
+  EXPECT_EQ(snap.intervals.back().name, "outer");
+  EXPECT_EQ(snap.intervals.back().depth, 0);
+  ASSERT_NE(snap.find("outer;tick"), nullptr);
+  EXPECT_EQ(snap.find("outer;tick")->count, n);
+  p.reset();
+  EXPECT_EQ(p.snapshot().intervals_dropped, 0u);
 }
 
 TEST(Profiler, AllocationAttributionIsExactAndPausable) {
@@ -203,8 +218,9 @@ TEST(TraceExport, ProfileTrackEmitsNestedSlices) {
     auto outer = prof.span("harness.plan");
     auto inner = prof.span("locmps.run");
   }
-  const obs::ProfileSnapshot snap = prof.snapshot();
+  obs::ProfileSnapshot snap = prof.snapshot();
   ASSERT_EQ(snap.intervals.size(), 2u);
+  snap.intervals_dropped = 7;  // as a profiler past its bound reports
 
   std::ostringstream os;
   write_chrome_trace(os, g, s, nullptr, &snap);
@@ -217,9 +233,10 @@ TEST(TraceExport, ProfileTrackEmitsNestedSlices) {
   for (const test::Json& e : events->items) {
     const test::Json* name = e.get("name");
     if (name == nullptr) continue;
-    if (name->str == "thread_name") {
-      for (const auto& [k, v] : e.get("args")->members)
-        if (k == "name" && v.str == "profile.spans") named_thread = true;
+    if (name->str == "thread_name" &&
+        e.get("args")->str_or("name") == "profile.spans") {
+      named_thread = true;
+      EXPECT_EQ(e.get("args")->num_or("intervals_dropped", -1.0), 7.0);
     }
     if (name->str == "harness.plan" || name->str == "locmps.run") {
       ++slices;
@@ -311,17 +328,32 @@ TEST(Log, ParseLevelAcceptsNamesAndLetters) {
 // ---------------------------------------------------------------------------
 // Determinism of the span tree
 
-/// One instrumented LoC-MPS run with an attached profiler.
-obs::ProfileSnapshot profile_locmps(const TaskGraph& g,
-                                    const Cluster& cluster, bool with_sink) {
-  LocMPSScheduler sched;
+/// Runs \p run under a fresh profiler (plus a registry and, when
+/// \p with_sink, an event buffer) and returns the profile.
+obs::ProfileSnapshot profile_of(
+    const std::function<void(obs::ObsContext*)>& run, bool with_sink) {
   obs::MetricsRegistry reg;
   obs::EventBuffer buf;
   obs::Profiler prof;
   obs::ObsContext ctx{&reg, with_sink ? &buf : nullptr, &prof};
-  sched.attach_observability(&ctx);
-  sched.schedule(g, cluster);
+  run(&ctx);
   return prof.snapshot();
+}
+
+/// A LoC-MPS plan of \p g on \p cluster under the given context.
+std::function<void(obs::ObsContext*)> locmps_plan(const TaskGraph& g,
+                                                  const Cluster& cluster) {
+  return [&g, &cluster](obs::ObsContext* ctx) {
+    LocMPSScheduler sched;
+    sched.attach_observability(ctx);
+    sched.schedule(g, cluster);
+  };
+}
+
+/// One instrumented LoC-MPS run with an attached profiler.
+obs::ProfileSnapshot profile_locmps(const TaskGraph& g,
+                                    const Cluster& cluster, bool with_sink) {
+  return profile_of(locmps_plan(g, cluster), with_sink);
 }
 
 /// Recursively asserts identical structure and counts (names, child
@@ -352,12 +384,66 @@ TEST(SelfProfileDeterminism, SpanTreesAreCountIdenticalAcrossRuns) {
   const TaskGraph g = make_synthetic_dag(p, rng);
   const Cluster cluster(16);
 
-  const obs::ProfileSnapshot ref = profile_locmps(g, cluster, true);
-  EXPECT_FALSE(ref.empty());
-  EXPECT_NE(ref.find("locmps.run"), nullptr);
-  EXPECT_NE(ref.find("locmps.run;locmps.walk;locbs.pass"), nullptr);
-  expect_same_shape(ref.root, profile_locmps(g, cluster, true).root,
-                    "repeat");
+  // A small graph on 8 processors for the fault and robustness layers:
+  // permanent failures inside the first half of the plan force replans.
+  SyntheticParams fp;
+  fp.ccr = 0.4;
+  fp.max_procs = 8;
+  fp.min_tasks = 16;
+  fp.max_tasks = 24;
+  Rng frng(2);
+  const TaskGraph fg = make_synthetic_dag(fp, frng);
+  const Cluster fc(8);
+  const SchedulerResult fplan = LocMPSScheduler().schedule(fg, fc);
+  FaultPlanParams fprm;
+  fprm.horizon_s = 0.5 * fplan.estimated_makespan;
+  fprm.seed = 11;
+  const FaultPlan faults = make_fault_plan(fc.processors, fprm);
+  RecoveryOptions ropt;
+  ropt.policy = RecoveryPolicy::kDegradedReplan;
+  const std::size_t replans = run_with_faults(fg, fc, faults, ropt).replans;
+  ASSERT_GE(replans, 1u);
+  RobustnessOptions sopt;
+  sopt.samples = 4;
+  sopt.perturb.horizon_s = fplan.estimated_makespan;
+
+  // Each case: a planner entry point and the span paths its profile must
+  // hold, with their close counts (0: any count).
+  struct Case {
+    const char* label;
+    std::function<void(obs::ObsContext*)> run;
+    std::vector<std::pair<const char*, std::uint64_t>> spans;
+  };
+  const Case cases[] = {
+      {"loc-mps",
+       locmps_plan(g, cluster),
+       {{"locmps.run", 1},
+        {"locmps.run;locmps.critical_path", 0},
+        {"locmps.run;locmps.walk;locbs.pass", 0}}},
+      {"replan",
+       [&](obs::ObsContext* ctx) {
+         RecoveryOptions o = ropt;
+         o.obs = ctx;
+         run_with_faults(fg, fc, faults, o);
+       },
+       {{"recovery.run", 1}, {"recovery.run;locmps.run", 1 + replans}}},
+      {"robustness",
+       [&](obs::ObsContext* ctx) {
+         RobustnessOptions o = sopt;
+         o.obs = ctx;
+         score_robustness(fg, fplan.schedule, CommModel(fc), o);
+       },
+       {{"robust.score", 1}}},
+  };
+  for (const Case& c : cases) {
+    const obs::ProfileSnapshot ref = profile_of(c.run, true);
+    for (const auto& [path, count] : c.spans) {
+      const obs::ProfileNode* node = ref.find(path);
+      ASSERT_NE(node, nullptr) << c.label << ": " << path;
+      if (count > 0) EXPECT_EQ(node->count, count) << c.label << ": " << path;
+    }
+    expect_same_shape(ref.root, profile_of(c.run, true).root, c.label);
+  }
 }
 
 TEST(SelfProfileDeterminism, AllocBytesReproducibleAtFixedThreadCount) {

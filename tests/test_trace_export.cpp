@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <sstream>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "schedulers/task_parallel.hpp"
 #include "test_util.hpp"
 #include "workloads/synthetic.hpp"
@@ -33,16 +39,41 @@ void expect_non_negative_times(const std::vector<Json>& events) {
   }
 }
 
-/// Builds a planner snapshot with two timers (one nested) and a series.
-obs::MetricsSnapshot sample_planner() {
+/// A planner's telemetry: a profile of two spans (one nested) and a
+/// registry with one sample series.
+struct PlannerTelemetry {
+  obs::MetricsSnapshot series;
+  obs::ProfileSnapshot profile;
+};
+
+PlannerTelemetry sample_planner() {
   obs::MetricsRegistry m;
+  obs::Profiler prof;
   {
-    obs::ScopedTimer outer(&m, "plan");
-    obs::ScopedTimer inner(&m, "plan.inner");
+    auto outer = prof.span("plan");
+    auto inner = prof.span("plan.inner");
   }
   m.sample("makespan", 20.0);
   m.sample("makespan", 15.0);
-  return m.snapshot();
+  return {m.snapshot(), prof.snapshot()};
+}
+
+/// Chrome trace of \p s with the planner process drawn from \p t.
+std::string planner_trace(const TaskGraph& g, const Schedule& s,
+                          const PlannerTelemetry& t) {
+  std::ostringstream os;
+  write_chrome_trace(os, g, s, &t.series, &t.profile);
+  return os.str();
+}
+
+/// Span closes recorded below \p node: of every span, or of the spans
+/// named \p name when it is non-empty.
+std::uint64_t closes(const obs::ProfileNode& node,
+                     std::string_view name = {}) {
+  std::uint64_t n = 0;
+  for (const obs::ProfileNode& c : node.children)
+    n += (name.empty() || c.name == name ? c.count : 0) + closes(c, name);
+  return n;
 }
 
 TEST(TraceExport, EmitsSlicesForEveryProcessorOfATask) {
@@ -98,11 +129,10 @@ TEST(TraceExport, PlannerTrackRendersTimersAndCounterSeries) {
   const TaskGraph g = test::chain(1, 5.0, 2, 0.0);
   Schedule s(1, 2);
   s.place(0, 0, 0, 5, ProcessorSet::of(2, {0, 1}));
-  const obs::MetricsSnapshot planner = sample_planner();
-  const auto events = trace_events(chrome_trace(g, s, planner));
+  const auto events = trace_events(planner_trace(g, s, sample_planner()));
 
   bool planner_process = false, schedule_process = false;
-  bool plan_thread = false, plan_slice = false;
+  bool spans_thread = false, plan_slice = false, inner_slice = false;
   std::size_t counter_points = 0;
   for (const Json& e : events) {
     const std::string name = e.str_or("name");
@@ -116,9 +146,10 @@ TEST(TraceExport, PlannerTrackRendersTimersAndCounterSeries) {
         schedule_process = true;
     }
     if (ph == "M" && name == "thread_name" && pid == 1.0 &&
-        args != nullptr && args->str_or("name") == "plan")
-      plan_thread = true;
+        args != nullptr && args->str_or("name") == "profile.spans")
+      spans_thread = true;
     if (ph == "X" && pid == 1.0 && name == "plan") plan_slice = true;
+    if (ph == "X" && pid == 1.0 && name == "plan.inner") inner_slice = true;
     if (ph == "C" && pid == 1.0 && name == "makespan") {
       ++counter_points;
       ASSERT_NE(args, nullptr);
@@ -127,8 +158,9 @@ TEST(TraceExport, PlannerTrackRendersTimersAndCounterSeries) {
   }
   EXPECT_TRUE(planner_process);
   EXPECT_TRUE(schedule_process);
-  EXPECT_TRUE(plan_thread);
+  EXPECT_TRUE(spans_thread);
   EXPECT_TRUE(plan_slice);
+  EXPECT_TRUE(inner_slice);
   EXPECT_EQ(counter_points, 2u);
   expect_non_negative_times(events);
 }
@@ -136,8 +168,7 @@ TEST(TraceExport, PlannerTrackRendersTimersAndCounterSeries) {
 TEST(TraceExport, EmptySchedulePlannerTraceIsWellFormed) {
   const TaskGraph g;  // no tasks
   const Schedule s(0, 2);
-  const obs::MetricsSnapshot planner = sample_planner();
-  const auto events = trace_events(chrome_trace(g, s, planner));
+  const auto events = trace_events(planner_trace(g, s, sample_planner()));
   // Only metadata, planner slices and counters — all with valid times.
   EXPECT_FALSE(events.empty());
   expect_non_negative_times(events);
@@ -154,10 +185,14 @@ TEST(TraceExport, NoOverlapModelTraceHasNonNegativeDurations) {
   p.max_procs = 4;
   Rng rng(11);
   const TaskGraph g = make_synthetic_dag(p, rng);
-  const SchemeRun run = evaluate_scheme(
-      "loc-mps", g, Cluster(4, kFastEthernetBytesPerSec, false));
-  const auto events = trace_events(chrome_trace(g, run.schedule,
-                                                run.counters));
+  obs::Profiler prof;
+  PlannerTelemetry t;
+  const Cluster cluster(4, kFastEthernetBytesPerSec, false);
+  const SchemeRun run =
+      evaluate_scheme("loc-mps", g, cluster, {}, nullptr, {}, &prof);
+  t.series = run.counters;
+  t.profile = prof.snapshot();
+  const auto events = trace_events(planner_trace(g, run.schedule, t));
   expect_non_negative_times(events);
   bool has_schedule_slice = false, has_planner_slice = false;
   for (const Json& e : events) {
@@ -167,6 +202,54 @@ TEST(TraceExport, NoOverlapModelTraceHasNonNegativeDurations) {
   }
   EXPECT_TRUE(has_schedule_slice);
   EXPECT_TRUE(has_planner_slice);
+}
+
+TEST(TraceExport, PlannerTrackShowsEveryOuterSpanOfAProfiledRun) {
+  // A profiled LoC-MPS run closes far more spans than one node's
+  // interval bound; the bound is per span node, so every harness, run,
+  // pass and execution span still reaches the planner track (a bound
+  // per run would lose the outer spans, which close last).
+  SyntheticParams p;
+  p.max_procs = 16;
+  Rng rng(20060901);
+  const TaskGraph g = make_synthetic_dag(p, rng);
+  obs::Profiler prof;
+  PlannerTelemetry t;
+  const SchemeRun run = evaluate_scheme(
+      "loc-mps", g, Cluster(16, p.bandwidth_Bps), {}, nullptr, {}, &prof);
+  t.series = run.counters;
+  t.profile = prof.snapshot();
+  ASSERT_GT(closes(t.profile.root), obs::Profiler::kMaxIntervals);
+
+  std::map<std::string, std::uint64_t> slices;
+  std::vector<std::pair<double, double>> spans;  // (ts, ts + dur)
+  for (const Json& e : trace_events(planner_trace(g, run.schedule, t))) {
+    if (e.str_or("ph") != "X" || e.num_or("pid", -1.0) != 1.0) continue;
+    ++slices[e.str_or("name")];
+    const double ts = e.num_or("ts", -1.0);
+    spans.emplace_back(ts, ts + e.num_or("dur", -1.0));
+  }
+  EXPECT_EQ(slices["harness.plan"], 1u);
+  EXPECT_EQ(slices["locmps.run"], 1u);
+  EXPECT_EQ(slices["sim.execute"], 1u);
+  const std::uint64_t passes = closes(t.profile.root, "locbs.pass");
+  EXPECT_EQ(passes, run.iterations);
+  EXPECT_EQ(slices["locbs.pass"], passes);
+
+  // The slices nest as the spans did: taken by start (longest first),
+  // each ends inside the innermost slice still open when it starts.
+  std::sort(spans.begin(), spans.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first < b.first : a.second > b.second;
+  });
+  std::vector<double> open_ends;
+  std::size_t misnested = 0;
+  for (const auto& [begin, end] : spans) {
+    while (!open_ends.empty() && open_ends.back() <= begin)
+      open_ends.pop_back();
+    if (!open_ends.empty() && end > open_ends.back()) ++misnested;
+    open_ends.push_back(end);
+  }
+  EXPECT_EQ(misnested, 0u);
 }
 
 TEST(TraceExport, RealScheduleProducesParsableShape) {

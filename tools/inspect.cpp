@@ -981,6 +981,11 @@ int main(int argc, char** argv) {
       std::cout << "\nplanner self-profile (span taxonomy: "
                    "docs/observability.md)\n";
       obs::write_profile_tree(std::cout, prof_snap);
+      if (prof_snap.intervals_dropped > 0)
+        std::cout << "dropped         " << prof_snap.intervals_dropped
+                  << " span intervals (the log keeps "
+                  << obs::Profiler::kMaxIntervals
+                  << " per span node; the counts above are complete)\n";
       const obs::ProfileNode* plan = prof_snap.find("harness.plan");
       if (plan == nullptr) {
         err() << "profile has no harness.plan span";
@@ -992,7 +997,7 @@ int main(int argc, char** argv) {
         const double diff = std::fabs(plan->wall_s - measured);
         const double tol = 0.02 * std::max(measured, 1e-9);
         if (diff > tol) {
-          err() << "profile/timer mismatch: harness.plan "
+          err() << "profile/stopwatch mismatch: harness.plan "
                 << fmt(plan->wall_s, 6) << " s vs scheduling time "
                 << fmt(measured, 6) << " s (diff " << fmt(diff, 6)
                 << " s > 2%)";
