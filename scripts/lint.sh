@@ -2,7 +2,8 @@
 # Static-analysis driver for locmps (docs/static_analysis.md).
 #
 # Runs, in order:
-#   1. locmps-lint  — project determinism/hygiene rules (always; built here)
+#   1. locmps-lint  — project determinism/hygiene rules (always; built here),
+#                     then a check that docs/module_graph.dot is current
 #   2. clang-tidy   — .clang-tidy profile over compile_commands.json
 #   3. cppcheck     — warning/performance/portability, .cppcheck-suppressions
 #   4. clang-format — check-only, scoped to FORMAT_PATHS (incremental adoption)
@@ -78,6 +79,12 @@ fi
 "$BUILD_DIR/tools/locmps-lint" --baseline tools/lint/lint_baseline.txt \
   --deps --format json \
   src bench tools examples >"$BUILD_DIR/lint_findings.json" || true
+# The committed module DAG must match the one just generated, so a change
+# to the include structure regenerates docs/module_graph.dot with it.
+if ! cmp -s docs/module_graph.dot "$BUILD_DIR/module_graph.dot"; then
+  diff -u docs/module_graph.dot "$BUILD_DIR/module_graph.dot" >&2 || true
+  fail "docs/module_graph.dot is stale; copy $BUILD_DIR/module_graph.dot"
+fi
 
 echo "== clang-tidy =="
 # LOCMPS_LINT_SKIP_TIDY=1 is the CI cache-hit signal: the compilation
