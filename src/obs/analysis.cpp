@@ -515,9 +515,9 @@ TraceSummary summarize_trace(const std::vector<TraceRecord>& records,
                              std::size_t num_tasks) {
   TraceSummary ts;
   ts.backfilled.assign(num_tasks, 0);
-  // The last "locbs.place" per task belongs to the final (adopted) LoCBS
-  // pass — LoC-MPS re-realizes the best allocation at the end of every
-  // round, after the round's look-ahead passes.
+  // The last "locbs.place" per task belongs to the final LoCBS pass — a
+  // LoC-MPS plan traces only the realization of its committed allocation,
+  // and a fault run's replans supersede the earlier plans.
   std::vector<char> placed(num_tasks, 0);
   std::vector<double> local(num_tasks, 0.0), remote(num_tasks, 0.0);
   for (const TraceRecord& r : records) {

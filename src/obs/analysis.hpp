@@ -319,7 +319,7 @@ std::vector<TraceRecord> read_trace(std::istream& is);
 
 /// Digest of a trace, joined against a schedule of \p num_tasks tasks.
 struct TraceSummary {
-  std::size_t place_events = 0;    ///< "locbs.place" lines (all passes)
+  std::size_t place_events = 0;    ///< "locbs.place" lines (traced passes)
   std::size_t transfer_events = 0; ///< "sim.transfer" lines
   /// Realized remote bytes: sum of "sim.transfer" byte fields. Must equal
   /// LocalityTotals::remote_bytes of the same run.

@@ -127,10 +127,10 @@ std::string json_escape(std::string_view in);
 class LOCMPS_THREAD_COMPATIBLE EventBuffer final : public EventSink {
  public:
   /// Retention bound, like MetricsRegistry::kMaxSamples in spirit:
-  /// small enough that a runaway emitter cannot exhaust memory. It is NOT
-  /// large enough for every traced plan: a LoC-MPS plan of a 50-task
-  /// synthetic DAG on 16 processors emits about 6 x 10^5 events. Callers
-  /// that need the whole stream must check dropped().
+  /// small enough that a runaway emitter cannot exhaust memory. A LoC-MPS
+  /// plan emits one event per refinement and two per round and per task
+  /// (6,284 for a 50-task synthetic DAG on 16 processors). Callers that
+  /// need the whole stream must check dropped().
   static constexpr std::size_t kMaxEvents = 65536;
 
   void emit(const Event& e) override {

@@ -116,8 +116,8 @@ Event decision_event(const PlacementDecision& d);
 bool decision_from_record(const TraceRecord& rec, PlacementDecision& out);
 
 /// The final decision per task: the last "locbs.decision" record each
-/// task received (LoC-MPS re-realizes allocations, so earlier passes are
-/// superseded). Tasks without a record stay invalid (task == kNoTask).
+/// task received (a fault run's replans supersede the earlier plans).
+/// Tasks without a record stay invalid (task == kNoTask).
 std::vector<PlacementDecision> final_decisions(
     const std::vector<TraceRecord>& records, std::size_t num_tasks);
 

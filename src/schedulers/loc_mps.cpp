@@ -96,27 +96,26 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
     return (fixed != nullptr && fixed->is_frozen(t)) ? cap[t] : usable;
   };
 
-  // The refinement search always runs unperturbed: a mid-search placement
-  // flip would diverge the whole trajectory and smear a seeded divergence
-  // across many tasks. The perturb_task hook (locbs.hpp) is applied only
-  // in one extra final realization below, so a perturbed run differs from
-  // its baseline by exactly that flip.
+  // The refinement search always runs unperturbed and untraced: a
+  // mid-search placement flip would diverge the whole trajectory and smear
+  // a seeded divergence across many tasks. The perturb_task hook
+  // (locbs.hpp) and the sink see only the final realization below, so a
+  // perturbed run differs from its baseline by exactly that flip.
   LocBSOptions lopt = opt_.locbs;
   const TaskId perturb = lopt.perturb_task;
   lopt.perturb_task = kNoTask;
+  obs::ObsContext search_ctx{met, nullptr, obs::profiler_of(obs)};
+  obs::ObsContext* const search_obs = obs != nullptr ? &search_ctx : nullptr;
 
   // Incremental replanning (docs/incremental.md): the refinement stream's
   // LoCBS evaluations replay their unchanged placement prefix from a
-  // recorded earlier evaluation. Stands down when a sink is attached: a
-  // decision record needs the scan's shortlist and runner-up, which a
-  // replayed step does not have (the schedule is identical either way).
-  const bool incr_on = opt_.incremental && !obs::wants_events(obs);
+  // recorded earlier evaluation.
   IncrementalContext session_incr;
-  IncrementalContext* const incr = incr_on ? &session_incr : nullptr;
+  IncrementalContext* const incr = opt_.incremental ? &session_incr : nullptr;
 
   // Every LoCBS evaluation of the refinement search funnels through here.
   auto eval_locbs = [&](const Allocation& np) {
-    return locbs(g, np, comm, lopt, fixed, obs, incr);
+    return locbs(g, np, comm, lopt, fixed, search_obs, incr);
   };
 
   LocBSResult best_run = eval_locbs(best_alloc);
@@ -434,13 +433,13 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
     if (exhausted_now()) break;
   }
 
-  // Final authoritative realization. The refinement loop's last LoCBS
-  // evaluation may belong to a rejected walk, so with a sink attached the
-  // trace's last "locbs.place"/"locbs.decision" records would describe an
-  // allocation that was never committed. Re-realize the final allocation
-  // once so the last record per task is exactly the committed schedule —
-  // rundiff and `--explain` read precisely those. This pass is also where
-  // an armed perturb_task takes effect (and the only place it does).
+  // Final authoritative realization: the only pass that sees the sink and
+  // the perturb hook. It re-realizes the committed allocation from scratch
+  // (a decision record needs the scan's shortlist and runner-up, which a
+  // replayed step does not keep), so the trace's one "locbs.place" and
+  // "locbs.decision" record per task describe exactly the returned
+  // schedule — rundiff and `--explain` read those. An armed perturb_task
+  // takes effect here and nowhere else.
   if (perturb != kNoTask || obs::wants_events(obs)) {
     best_run = locbs(g, best_alloc, comm, opt_.locbs, fixed, obs);
     best_sl = best_run.makespan;

@@ -51,10 +51,8 @@ struct LocMPSOptions {
   /// every hole. Schedules, counters (minus the digest-excluded `incr.*`
   /// family), and analyses stay bit-identical to the from-scratch path —
   /// tests/test_incremental.cpp enforces this differentially on every
-  /// workload. The machinery stands down automatically when an event sink
-  /// is attached (decision records need the scan's shortlist, which a
-  /// replayed step does not keep); a profiler does not stop it. false =
-  /// always from-scratch (the oracle side of the differential harness).
+  /// workload. false = always from-scratch (the oracle side of the
+  /// differential harness).
   bool incremental = true;
 };
 

@@ -63,8 +63,7 @@ struct GoldenRow {
   std::size_t iterations;
 };
 
-// The sink variant is pinned on strassen-512: a traced fig06 plan emits
-// about 6 x 10^5 events and takes ~10 s, and CI already traces fig06
+// The sink variant is pinned on strassen-512: CI already traces fig06
 // against the committed bench/baselines/fig06_decision_trace.jsonl.
 // clang-format off
 constexpr GoldenRow kGolden[] = {

@@ -4,11 +4,14 @@
 
 #include <algorithm>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "network/comm_model.hpp"
+#include "schedulers/loc_mps.hpp"
 #include "test_util.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -140,31 +143,105 @@ TEST(ObsEvents, LocMpsRunEmitsOnlyDocumentedEventsWithValidEnvelope) {
 }
 
 TEST(ObsEvents, PlacementEventsCarryConsistentFields) {
+  // Planned through LoC-MPS itself, so the records can be checked against
+  // the returned schedule rather than a simulated one.
   const TaskGraph g = small_graph();
-  const TracedRun tr = run_traced("loc-mps", g, Cluster(4));
-  std::size_t places = 0;
-  for (const Json& e : tr.events) {
-    if (e.str_or("ev") != "locbs.place") continue;
-    ++places;
+  std::ostringstream buf;
+  obs::JsonlSink sink(buf);
+  obs::MetricsRegistry reg;
+  obs::ObsContext ctx{&reg, &sink, nullptr};
+  LocMPSScheduler sched;
+  sched.attach_observability(&ctx);
+  const SchedulerResult res = sched.schedule(g, Cluster(4));
+  const std::size_t n = g.num_tasks();
+  // Only the final realization is traced: one place and one decision
+  // record per task, and each place record is the returned placement.
+  std::vector<std::size_t> places(n, 0), decisions(n, 0);
+  for (const std::string& line : lines_of(buf.str())) {
+    const Json e = parse_json(line);
+    const std::string ev = e.str_or("ev");
+    if (ev != "locbs.place" && ev != "locbs.decision") continue;
     const double task = e.num_or("task", -1.0);
-    EXPECT_GE(task, 0.0);
-    EXPECT_LT(task, static_cast<double>(g.num_tasks()));
-    EXPECT_GE(e.num_or("np", 0.0), 1.0);
+    ASSERT_GE(task, 0.0);
+    ASSERT_LT(task, static_cast<double>(n));
+    const auto t = static_cast<TaskId>(task);
+    if (ev == "locbs.decision") {
+      ++decisions[t];
+      continue;
+    }
+    ++places[t];
+    const Placement& pl = res.schedule.at(t);
+    EXPECT_EQ(e.num_or("np", 0.0), static_cast<double>(pl.np()));
     EXPECT_LE(e.num_or("busy_from", 0.0), e.num_or("start", -1.0));
-    EXPECT_LE(e.num_or("start", 0.0), e.num_or("finish", -1.0));
+    // The JSONL sink prints 12 significant digits.
+    EXPECT_NEAR(e.num_or("start", -1.0), pl.start,
+                1e-11 * std::max(1.0, pl.start));
+    EXPECT_NEAR(e.num_or("finish", -1.0), pl.finish,
+                1e-11 * std::max(1.0, pl.finish));
+    std::string procs;
+    for (ProcId q : pl.procs.to_vector())
+      procs += (procs.empty() ? "" : ",") + std::to_string(q);
+    EXPECT_EQ(e.str_or("procs"), procs) << "task " << t;
     EXPECT_GE(e.num_or("holes_scanned", -1.0), 0.0);
     EXPECT_GE(e.num_or("local_bytes", -1.0), 0.0);
     EXPECT_GE(e.num_or("remote_bytes", -1.0), 0.0);
     ASSERT_TRUE(e.has("backfill"));
     EXPECT_TRUE(e.get("backfill")->is(Json::Kind::Bool));
-    EXPECT_FALSE(e.str_or("procs").empty());
   }
-  // Every LoCBS call places every task.
-  const double calls = tr.run.counters.counter("locmps.locbs_calls");
-  EXPECT_GT(calls, 0.0);
-  EXPECT_EQ(places, static_cast<std::size_t>(calls) * g.num_tasks());
-  EXPECT_DOUBLE_EQ(tr.run.counters.counter("locbs.tasks_placed"),
-                   static_cast<double>(places));
+  for (TaskId t = 0; t < n; ++t) {
+    EXPECT_EQ(places[t], 1u) << "task " << t;
+    EXPECT_EQ(decisions[t], 1u) << "task " << t;
+  }
+  // Every LoCBS call, traced or not, places every task.
+  const obs::MetricsSnapshot counters = reg.snapshot();
+  const double calls = counters.counter("locmps.locbs_calls");
+  EXPECT_GT(calls, 1.0);
+  EXPECT_DOUBLE_EQ(counters.counter("locbs.tasks_placed"),
+                   calls * static_cast<double>(n));
+}
+
+// A sink must not change the search: the traced plan does the untraced
+// plan's work plus exactly one from-scratch LoCBS pass over the committed
+// allocation, the one that emits the decision records.
+TEST(ObsEvents, SinkAddsOnlyTheFinalRealization) {
+  struct Case {
+    std::size_t tasks, procs;
+  };
+  for (const Case c : {Case{12, 4}, Case{40, 16}}) {
+    const TaskGraph g = small_graph(c.tasks, 0.5, c.procs);
+    const Cluster cluster(c.procs);
+    const std::string label = std::to_string(c.tasks) + " tasks";
+    const test::RunCapture untraced =
+        test::run_locmps_capture(g, cluster, {}, /*with_sink=*/false);
+    const test::RunCapture traced =
+        test::run_locmps_capture(g, cluster, {}, /*with_sink=*/true);
+    EXPECT_EQ(traced.dropped, 0u) << label;
+    EXPECT_GT(traced.metrics.counter("incr.replayed_tasks"), 0.0) << label;
+
+    obs::MetricsRegistry reg;
+    obs::EventBuffer buf;
+    obs::ObsContext ctx{&reg, &buf, nullptr};
+    CommModel comm(cluster);
+    comm.count_evals_into(reg.cell_ptr("comm.cost_evals"));
+    (void)locbs(g, traced.result.allocation, comm, {}, nullptr, &ctx);
+    const obs::MetricsSnapshot pass = reg.snapshot();
+
+    std::set<std::string> names;
+    for (const auto* s : {&untraced.metrics, &traced.metrics, &pass})
+      for (const auto& kv : s->counters) names.insert(kv.first);
+    for (const std::string& name : names) {
+      const double want = name == "locmps.locbs_calls"
+                              ? untraced.metrics.counter(name) + 1.0
+                              : untraced.metrics.counter(name) +
+                                    pass.counter(name);
+      const double got = traced.metrics.counter(name);
+      if (name == "locbs.local_bytes" || name == "locbs.remote_bytes")
+        EXPECT_NEAR(got, want, 1e-12 * std::max(1.0, want))
+            << label << ": " << name;  // summation order differs
+      else
+        EXPECT_EQ(got, want) << label << ": " << name;
+    }
+  }
 }
 
 // The acceptance test of the decision trace: replaying the per-iteration

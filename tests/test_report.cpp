@@ -156,8 +156,8 @@ TEST(Report, Fig06EndToEndReconciliation) {
   const auto records = obs::read_trace(trace_in);
   ASSERT_FALSE(records.empty());
   const auto digest = obs::summarize_trace(records, g.num_tasks());
-  // LoC-MPS refines over several passes; every pass traces its placements.
-  EXPECT_GE(digest.place_events, g.num_tasks());
+  // Only LoC-MPS's final realization traces its placements.
+  EXPECT_EQ(digest.place_events, g.num_tasks());
 
   // Analyzer totals == simulator counters == trace, to rounding.
   const auto& lt = run.analysis.locality;
