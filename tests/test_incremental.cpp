@@ -77,6 +77,18 @@ std::vector<std::pair<std::string, TaskGraph>> sweep_workloads() {
 // ---------------------------------------------------------------------------
 // The oracle: incremental on vs off, every workload
 
+TEST(IncrementalOracle, MetricsOnlyRunsAreBitIdentical) {
+  // Without a sink no final pass re-realizes the committed allocation from
+  // scratch, so the returned schedule is the search's own, replayed one.
+  const Cluster cluster(16);
+  for (const auto& [label, g] : sweep_workloads()) {
+    const RunCapture off = run(g, cluster, /*incremental=*/false, false);
+    const RunCapture on = run(g, cluster, /*incremental=*/true, false);
+    DifferentialChecker(g).expect_identical(off, on, label);
+    EXPECT_GT(on.metrics.counter("incr.replayed_tasks"), 0.0) << label;
+  }
+}
+
 TEST(IncrementalOracle, TracedRunsAreBitIdentical) {
   // A sink sees only the final realization, so the search passes replay
   // exactly as in an untraced run, and the contract covers the full
