@@ -62,8 +62,9 @@ class ScheduleDag {
   /// Memoized: the refinement loop asks for the critical path of the same
   /// realized dag several times per round (diagnosis, termination test,
   /// look-ahead steps), so the result is cached until the next weight or
-  /// pseudo-edge mutation. The cache travels with copies, so a memoized
-  /// LoCBS result replays its critical path instead of recomputing it.
+  /// pseudo-edge mutation. The cache travels with copies and moves, so an
+  /// incumbent kept from a look-ahead walk keeps the critical path the
+  /// walk already computed.
   CriticalPathInfo critical_path() const;
 
  private:

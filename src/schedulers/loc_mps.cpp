@@ -37,11 +37,11 @@ struct Refinement {
 };
 
 /// Outcome of one look-ahead walk (Alg. 1 steps 15-30): the best
-/// allocation it adopted, how many LoCBS evaluations it consumed, and
-/// whether it beat the incumbent it started from.
+/// allocation it adopted and its realization, set only when it beat the
+/// incumbent it started from, and how many LoCBS evaluations it consumed.
 struct WalkResult {
-  bool improved = false;
   Allocation alloc;
+  std::optional<LocBSResult> run;
   double sl = 0.0;
   std::size_t used = 0;
 };
@@ -107,9 +107,9 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   obs::ObsContext search_ctx{met, nullptr, obs::profiler_of(obs)};
   obs::ObsContext* const search_obs = obs != nullptr ? &search_ctx : nullptr;
 
-  // Incremental replanning (docs/incremental.md): the refinement stream's
-  // LoCBS evaluations replay their unchanged placement prefix from a
-  // recorded earlier evaluation.
+  // Incremental replanning (docs/incremental.md): each LoCBS evaluation
+  // of the refinement stream replays the placement prefix it shares with
+  // the previous one.
   IncrementalContext session_incr;
   IncrementalContext* const incr = opt_.incremental ? &session_incr : nullptr;
 
@@ -242,18 +242,18 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   // One look-ahead walk (Alg. 1 steps 15-30) whose first refinement
   // \p first already widened \p np. Explores up to look_ahead_depth
   // refinements, or \p budget LoCBS evaluations, adopting every strict
-  // improvement over the incumbent.
+  // improvement over the incumbent and keeping its realization.
   auto walk = [&](std::size_t round_no, Allocation np,
                   const Refinement& first, std::size_t budget) -> WalkResult {
     LOCMPS_SPAN(obs, "locmps.walk");
     WalkResult r;
-    r.alloc = best_alloc;
     r.sl = best_sl;
     if (obs::wants_events(obs))
       obs->sink->emit(obs::Event("locmps.lookahead_begin")
                           .with("round", static_cast<std::uint64_t>(round_no))
                           .with("best", best_sl));
-    std::optional<LocBSResult> cur;
+    std::optional<LocBSResult> last;   // the latest evaluation, unless adopted
+    const LocBSResult* cur = nullptr;  // the latest evaluation
     Refinement rf = first;
     for (std::size_t iter = 0; iter < opt_.look_ahead_depth; ++iter) {
       if (iter > 0) {
@@ -272,13 +272,15 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
         met->add(ep.is_task ? "locmps.widened_tasks"
                             : "locmps.widened_edges");
 
-      cur.emplace(eval_locbs(np));
+      LocBSResult res = eval_locbs(np);
       ++r.used;
-      const bool adopted = cur->makespan < r.sl;
+      const bool adopted = res.makespan < r.sl;
       if (adopted) {
         r.alloc = np;
-        r.sl = cur->makespan;
-        r.improved = true;
+        r.sl = res.makespan;
+        cur = &r.run.emplace(std::move(res));
+      } else {
+        cur = &last.emplace(std::move(res));
       }
       if (obs::wants_events(obs)) {
         // One event per refinement: the critical-path diagnosis, the
@@ -338,8 +340,8 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   // 31-38): updates the incumbent and the marks, bumps the round counters,
   // and emits the round's locmps.lookahead event.
   auto finish_round = [&](std::size_t round_no, const EntryPoint& entry,
-                          double old_sl, const WalkResult& w) {
-    const bool improved = w.improved;
+                          double old_sl, WalkResult&& w) {
+    const bool improved = w.run.has_value();
     if (obs::log_enabled(obs::LogLevel::kDebug))
       obs::log(obs::LogLevel::kDebug, "loc-mps")
           << "old=" << old_sl << " best=" << w.sl << ' '
@@ -353,8 +355,10 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
       else
         marked_edge[entry.edge] = 1;
     } else {
-      // Commit: adopt the improved allocation and clear all marks.
-      best_alloc = w.alloc;
+      // Commit: adopt the improved allocation with the walk's realization
+      // of it, and clear all marks.
+      best_alloc = std::move(w.alloc);
+      best_run = std::move(*w.run);
       best_sl = w.sl;
       std::fill(marked_task.begin(), marked_task.end(), 0);
       std::fill(marked_edge.begin(), marked_edge.end(), 0);
@@ -397,7 +401,9 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
 
   // Main repeat-until loop (Alg. 1 steps 5-40): one look-ahead round per
   // iteration, entered at the incumbent's critical path with the marks
-  // binding, then commit-or-mark and a re-realization of the incumbent.
+  // binding, then commit-or-mark. The incumbent keeps the realization
+  // that the walk adopting it (or the initial pass) computed, so the next
+  // round reads its G' without another LoCBS pass.
   std::size_t round = 0;
   while (calls < opt_.max_locbs_calls) {
     CriticalPathInfo cp;
@@ -419,12 +425,13 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
       break;
     }
     const double old_sl = best_sl;
-    const WalkResult w =
+    WalkResult w =
         walk(round, std::move(np), *first, opt_.max_locbs_calls - calls);
     calls += w.used;
-    finish_round(round, first->ep, old_sl, w);
-    // Re-realize the best allocation; its critical path drives termination.
-    best_run = eval_locbs(best_alloc);
+    finish_round(round, first->ep, old_sl, std::move(w));
+    // The round charges one call for the incumbent's realization, kept
+    // from the walk rather than re-run: `iterations` and the call budget
+    // count LoCBS passes plus rounds (loc_mps.hpp).
     ++calls;
     if (met != nullptr) {
       met->sample("locmps.best_makespan", best_sl);

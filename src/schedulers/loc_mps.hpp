@@ -41,15 +41,20 @@ struct LocMPSOptions {
   /// Scheduler used to realize each trial allocation.
   LocBSOptions locbs;
 
-  /// Safety valve: hard cap on LoCBS invocations (the algorithm converges
-  /// long before this on the paper's workloads).
+  /// Safety valve: hard cap on LoCBS calls (the algorithm converges long
+  /// before this on the paper's workloads). Calls are what
+  /// SchedulerResult::iterations reports: every LoCBS pass plus one charge
+  /// per look-ahead round, which keeps the walk's realization of the
+  /// incumbent instead of re-running it. The search therefore runs at most
+  /// this many passes; only the final traced or perturbed realization
+  /// (loc_mps.cpp) may add one more, and the initial pass always runs.
   std::size_t max_locbs_calls = 100000;
 
-  /// Incremental replanning (docs/incremental.md): successive LoCBS
-  /// evaluations of one refinement stream replay their unchanged placement
-  /// prefix from a recorded earlier evaluation instead of re-scanning
-  /// every hole. Schedules, counters (minus the digest-excluded `incr.*`
-  /// family), and analyses stay bit-identical to the from-scratch path —
+  /// Incremental replanning (docs/incremental.md): each LoCBS evaluation
+  /// of the refinement stream replays the placement prefix it shares with
+  /// the previous evaluation instead of re-scanning every hole. Schedules,
+  /// counters (minus the digest-excluded `incr.*` family), and analyses
+  /// stay bit-identical to the from-scratch path —
   /// tests/test_incremental.cpp enforces this differentially on every
   /// workload. false = always from-scratch (the oracle side of the
   /// differential harness).

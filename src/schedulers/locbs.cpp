@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -755,20 +754,16 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
   };
 
   // Incremental replay (schedulers/incremental.hpp, docs/incremental.md):
-  // the recorded evaluation with the longest matching prefix is replayed
-  // step by step while the live priority pick and its processor count
-  // match the record; the first divergent pick ends replay and the
-  // remainder is scanned. A placement is a deterministic function of
-  // (picked task, its np, the committed prefix), so a matching pick
-  // guarantees a bit-identical step, telemetry included.
-  const ReplayRecord* rec = incr != nullptr ? incr->pick_record(np) : nullptr;
-  std::size_t ri = 0;   // next recorded step to match
-  ReplayRecord newrec;  // this evaluation, recorded for future replays
+  // the previous pass of the stream is replayed step by step while the
+  // live priority pick and its processor count match it; the first
+  // divergent pick ends replay, and the remainder is scanned into the
+  // record in place. A placement is a deterministic function of (picked
+  // task, its np, the committed prefix), so a matching pick guarantees a
+  // bit-identical step, telemetry included.
+  std::vector<ReplayStep>* const rec =
+      incr != nullptr ? &incr->steps : nullptr;
+  bool replaying = rec != nullptr;
   std::size_t replayed_tasks = 0;
-  if (incr != nullptr) {
-    newrec.np = np;
-    newrec.steps.reserve(n - n_frozen);
-  }
 
   HoleScan scan(g, comm, opt, fixed, chart, obs);
   ReplayStep scratch;  // the from-scratch path reuses one step
@@ -785,18 +780,17 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
     ready[pick] = ready.back();
     ready.pop_back();
 
-    if (rec != nullptr) {
-      if (ri < rec->steps.size() && rec->steps[ri]->task == tp &&
-          rec->steps[ri]->np == np[tp]) {
-        const std::shared_ptr<const ReplayStep>& rs = rec->steps[ri++];
+    const std::size_t k = scheduled - n_frozen;  // this step's record slot
+    if (replaying) {
+      if (k < rec->size() && (*rec)[k].task == tp && (*rec)[k].np == np[tp]) {
+        const ReplayStep& rs = (*rec)[k];
         // Credit the cost evaluations the skipped scan would have made.
-        if (comm.evals_cell() != nullptr) *comm.evals_cell() += rs->cost_evals;
-        commit(*rs);
-        newrec.steps.push_back(rs);  // shared: one refcount bump
+        if (comm.evals_cell() != nullptr) *comm.evals_cell() += rs.cost_evals;
+        commit(rs);
         ++replayed_tasks;
         continue;
       }
-      rec = nullptr;  // first divergence: scan the remainder
+      replaying = false;  // first divergence: scan the remainder
     }
 
     LOCMPS_SPAN(obs, "locbs.place");
@@ -807,27 +801,22 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
         tp == opt.perturb_task && scan.second().finish < kInf;
     const Candidate& chosen = perturbed ? scan.second() : best;
     LOCMPS_SPAN(obs, "locbs.commit");
-    std::shared_ptr<ReplayStep> fresh =
-        incr != nullptr ? std::make_shared<ReplayStep>() : nullptr;
-    ReplayStep& step = fresh != nullptr ? *fresh : scratch;
+    if (rec != nullptr && k == rec->size()) rec->emplace_back();
+    ReplayStep& step = rec != nullptr ? (*rec)[k] : scratch;
     scan.realize(chosen, step);
     commit(step);
     if (obs::wants_events(obs))
       scan.emit(*obs->sink, step, chosen, prio[tp], perturbed);
-    if (fresh != nullptr) newrec.steps.push_back(std::move(fresh));
   }
 
-  if (incr != nullptr) {
-    // Stream bookkeeping: dirty vs replayed split of this evaluation, and
-    // whether it had any replay base at all. The incr.* family is
-    // digest-excluded (the from-scratch oracle produces none).
-    if (met != nullptr) {
-      met->add("incr.dirty_tasks",
-               static_cast<double>(newrec.steps.size() - replayed_tasks));
-      met->add("incr.replayed_tasks", static_cast<double>(replayed_tasks));
-      if (replayed_tasks == 0) met->add("incr.full_rebuilds");
-    }
-    incr->remember(std::move(newrec));
+  // Stream bookkeeping: dirty vs replayed split of this evaluation, and
+  // whether it had any replay base at all. The incr.* family is
+  // digest-excluded (the from-scratch oracle produces none).
+  if (incr != nullptr && met != nullptr) {
+    met->add("incr.dirty_tasks",
+             static_cast<double>(n - n_frozen - replayed_tasks));
+    met->add("incr.replayed_tasks", static_cast<double>(replayed_tasks));
+    if (replayed_tasks == 0) met->add("incr.full_rebuilds");
   }
 
   res.makespan = res.schedule.makespan();

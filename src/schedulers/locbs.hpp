@@ -19,7 +19,7 @@
 
 namespace locmps {
 
-class IncrementalContext;  // schedulers/incremental.hpp
+struct IncrementalContext;  // schedulers/incremental.hpp
 
 /// Behavioural switches of LoCBS (used for the paper's ablations).
 struct LocBSOptions {
@@ -115,14 +115,15 @@ struct FixedPrefix {
 ///
 /// \p incr (optional) is the incremental-replanning context of the
 /// caller's evaluation stream (schedulers/incremental.hpp,
-/// docs/incremental.md): the pass replays the longest placement prefix
-/// that provably matches a recorded earlier evaluation, scans the
-/// remainder, and records itself for future replays. A replayed and a
-/// scanned placement go through the same commit. The result — schedule,
-/// G', counters — is bit-identical to incr == nullptr (the from-scratch
-/// oracle path); only the digest-excluded `incr.*` counters reveal which
-/// path ran. Pass it without an event sink in \p obs: decision records
-/// need a scan of every placement.
+/// docs/incremental.md): the pass replays the stream's previous pass
+/// while its picks provably match it, scans the remainder, and overwrites
+/// the record's tail with the scanned steps, so the record always holds
+/// the latest pass. A replayed and a scanned placement go through the
+/// same commit. The result — schedule, G', counters — is bit-identical to
+/// incr == nullptr (the from-scratch oracle path); only the
+/// digest-excluded `incr.*` counters reveal which path ran. Pass it
+/// without an event sink in \p obs: decision records need a scan of
+/// every placement.
 LocBSResult locbs(const TaskGraph& g, const Allocation& np,
                   const CommModel& comm, const LocBSOptions& opt = {},
                   const FixedPrefix* fixed = nullptr,

@@ -36,17 +36,21 @@ struct SchedulerOptions {
   TaskId perturb_task = kNoTask;
 
   /// Incremental replanning (docs/incremental.md): LoC-MPS-backed schemes
-  /// replay the unchanged prefix of each refinement-round LoCBS evaluation
-  /// from a recorded earlier one instead of re-scanning every task.
+  /// replay the placement prefix each refinement-round LoCBS evaluation
+  /// shares with the previous one instead of re-scanning every task.
   /// Results are bit-identical to the from-scratch path (the differential
   /// oracle of tests/test_incremental); false forces the from-scratch
   /// reference. Ignored by schemes without LoCBS.
   bool incremental = true;
 
-  /// When > 0, caps the planner's refinement budget (LoCBS invocations for
-  /// LoC-MPS-backed schemes). Bounds planning time on very large graphs —
-  /// the |V| >= 2000 fig10 panel runs under such a cap. 0 (the default)
-  /// keeps each scheme's own safety valve. Ignored by one-shot schemes.
+  /// When > 0, caps the planner's refinement budget: for LoC-MPS-backed
+  /// schemes, LocMPSOptions::max_locbs_calls, which counts LoCBS passes
+  /// plus one charge per look-ahead round, as `iterations` does. The
+  /// search runs at most this many passes; only a final traced or
+  /// perturbed realization may add one. Bounds planning time on very
+  /// large graphs — the |V| >= 2000 fig10 panel runs under such a cap. 0
+  /// (the default) keeps each scheme's own safety valve. Ignored by
+  /// one-shot schemes.
   std::size_t plan_budget = 0;
 };
 

@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,6 +25,7 @@
 
 #include "network/comm_model.hpp"
 #include "obs/analysis.hpp"
+#include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "schedulers/loc_mps.hpp"
 #include "test_util.hpp"
@@ -263,30 +263,82 @@ TEST(IncrementalOracle, FixedPrefixReplansAreBitIdentical) {
 // Unit coverage of the incremental building blocks
 
 TEST(IncrementalContext, PicksTheLongestMatchingRecord) {
-  IncrementalContext ctx;
-  auto mk = [](std::initializer_list<std::size_t> np) {
-    ReplayRecord r;
-    r.np = np;
-    for (std::size_t i = 0; i < r.np.size(); ++i) {
-      auto s = std::make_shared<ReplayStep>();
-      s->task = static_cast<TaskId>(i);
-      s->np = r.np[i];
-      r.steps.push_back(std::move(s));
-    }
-    return r;
+  // The context records one evaluation, the previous pass, and a pass
+  // replays the longest prefix of it that its own picks match. On an
+  // edge-free graph with distinct task times the picks follow the times:
+  // t0 (50 s on one processor, 45 s on two) first, t4 (10 s) last.
+  TaskGraph g;
+  g.add_task("t0", test::profile({50.0, 45.0, 40.0, 35.0}));
+  for (const double t : {40.0, 30.0, 20.0, 10.0})
+    g.add_task("t", test::profile({t, t / 2, t / 3, t / 4}));
+  const std::size_t n = g.num_tasks();
+  const CommModel comm{Cluster(4)};
+
+  // One pass on \p ctx against the from-scratch reference; returns the
+  // pass's incr.* counters.
+  struct Replay {
+    double replayed = 0.0, rebuilds = 0.0;
   };
-  EXPECT_EQ(ctx.pick_record({1, 1, 1}), nullptr);
-  ctx.remember(mk({1, 1, 1}));
-  ctx.remember(mk({1, 2, 1}));
-  // {1, 2, 2} shares a 2-allocation prefix with {1, 2, 1} but only 1 with
-  // {1, 1, 1}; the longer match wins.
-  const ReplayRecord* r = ctx.pick_record({1, 2, 2});
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->np, (Allocation{1, 2, 1}));
-  // Bounded history: remembering past the cap drops the oldest record.
-  for (std::size_t w = 0; w < IncrementalContext::kMaxRecords; ++w)
-    ctx.remember(mk({4 + w, 4 + w, 4 + w}));
-  EXPECT_EQ(ctx.pick_record({1, 1, 1}), nullptr);
+  auto pass = [&](IncrementalContext& ctx, const Allocation& np,
+                  const FixedPrefix* fixed = nullptr) {
+    obs::MetricsRegistry reg;
+    obs::ObsContext obs{&reg, nullptr, nullptr};
+    const LocBSResult on = locbs(g, np, comm, {}, fixed, &obs, &ctx);
+    const LocBSResult off = locbs(g, np, comm, {}, fixed);
+    EXPECT_EQ(on.makespan, off.makespan);
+    for (TaskId t : g.task_ids()) {
+      const Placement& a = on.schedule.at(t);
+      const Placement& b = off.schedule.at(t);
+      EXPECT_EQ(a.busy_from, b.busy_from) << "task " << t;
+      EXPECT_EQ(a.start, b.start) << "task " << t;
+      EXPECT_EQ(a.finish, b.finish) << "task " << t;
+      EXPECT_TRUE(a.procs == b.procs) << "task " << t;
+    }
+    const auto placed = static_cast<std::size_t>(
+        fixed == nullptr ? n
+                         : std::count(fixed->frozen.begin(),
+                                      fixed->frozen.end(), 0));
+    EXPECT_EQ(ctx.steps.size(), placed);  // one evaluation, no more
+    const obs::MetricsSnapshot c = reg.snapshot();
+    EXPECT_EQ(c.counter("incr.replayed_tasks") + c.counter("incr.dirty_tasks"),
+              static_cast<double>(placed));
+    return Replay{c.counter("incr.replayed_tasks"),
+                  c.counter("incr.full_rebuilds")};
+  };
+
+  IncrementalContext ctx;
+  Allocation np(n, 1);
+  Replay r = pass(ctx, np);  // nothing recorded yet
+  EXPECT_EQ(r.replayed, 0.0);
+  EXPECT_EQ(r.rebuilds, 1.0);
+  r = pass(ctx, np);  // the same allocation replays every step
+  EXPECT_EQ(r.replayed, static_cast<double>(n));
+  EXPECT_EQ(r.rebuilds, 0.0);
+  np[4] = 2;  // the last pick diverges on its processor count
+  r = pass(ctx, np);
+  EXPECT_EQ(r.replayed, static_cast<double>(n - 1));
+  np[0] = 2;  // the first pick diverges on its processor count
+  r = pass(ctx, np);
+  EXPECT_EQ(r.replayed, 0.0);
+  EXPECT_EQ(r.rebuilds, 1.0);
+  r = pass(ctx, np);  // the record now holds the rebuilt pass
+  EXPECT_EQ(r.replayed, static_cast<double>(n));
+
+  // Around a frozen prefix the record holds only the tasks the pass
+  // places: t0, placed first at time 0, stays where the last pass put it.
+  const LocBSResult seed = locbs(g, np, comm);
+  FixedPrefix fixed;
+  fixed.frozen.assign(n, 0);
+  fixed.frozen[0] = 1;
+  fixed.placements = &seed.schedule;
+  IncrementalContext fctx;
+  r = pass(fctx, np, &fixed);
+  EXPECT_EQ(r.replayed, 0.0);
+  r = pass(fctx, np, &fixed);
+  EXPECT_EQ(r.replayed, static_cast<double>(n - 1));
+  np[4] = 3;
+  r = pass(fctx, np, &fixed);
+  EXPECT_EQ(r.replayed, static_cast<double>(n - 2));
 }
 
 }  // namespace

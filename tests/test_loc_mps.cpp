@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "schedule/event_sim.hpp"
 #include "schedulers/task_parallel.hpp"
 #include "test_util.hpp"
@@ -126,8 +127,14 @@ TEST(LocMPS, RespectsMaxLocbsCallBudget) {
   const Cluster c(16);
   LocMPSOptions opt;
   opt.max_locbs_calls = 25;
-  const SchedulerResult r = LocMPSScheduler(opt).schedule(g, c);
+  LocMPSScheduler sched(opt);
+  obs::MetricsRegistry reg;
+  obs::ObsContext ctx{&reg, nullptr, nullptr};
+  sched.attach_observability(&ctx);
+  const SchedulerResult r = sched.schedule(g, c);
   EXPECT_LE(r.iterations, 25u + 2u);
+  // The cap binds the LoCBS passes that actually run.
+  EXPECT_LE(reg.snapshot().counter("locbs.calls"), 25.0);
   EXPECT_EQ(r.schedule.validate(g, CommModel(c)), "");
 }
 
