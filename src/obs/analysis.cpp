@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "network/block_cyclic.hpp"
+#include "obs/provenance.hpp"
 
 namespace locmps::obs {
 
@@ -514,22 +515,9 @@ std::vector<TraceRecord> read_trace(std::istream& is) {
 TraceSummary summarize_trace(const std::vector<TraceRecord>& records,
                              std::size_t num_tasks) {
   TraceSummary ts;
-  ts.backfilled.assign(num_tasks, 0);
-  // The last "locbs.place" per task belongs to the final LoCBS pass — a
-  // LoC-MPS plan traces only the realization of its committed allocation,
-  // and a fault run's replans supersede the earlier plans.
-  std::vector<char> placed(num_tasks, 0);
-  std::vector<double> local(num_tasks, 0.0), remote(num_tasks, 0.0);
   for (const TraceRecord& r : records) {
-    if (r.ev == "locbs.place") {
-      ++ts.place_events;
-      const auto t = static_cast<std::size_t>(r.num("task", -1.0));
-      if (t < num_tasks) {
-        placed[t] = 1;
-        ts.backfilled[t] = r.flag("backfill") ? 1 : 0;
-        local[t] = r.num("local_bytes");
-        remote[t] = r.num("remote_bytes");
-      }
+    if (r.ev == "locbs.decision") {
+      ++ts.decision_events;
     } else if (r.ev == "sim.transfer") {
       ++ts.transfer_events;
       ts.transfer_bytes += r.num("bytes");
@@ -572,10 +560,15 @@ TraceSummary summarize_trace(const std::vector<TraceRecord>& records,
               if (x.fail_s != y.fail_s) return x.fail_s < y.fail_s;
               return x.proc < y.proc;
             });
-  for (std::size_t t = 0; t < num_tasks; ++t) {
-    if (!placed[t]) continue;
-    ts.final_local_bytes += local[t];
-    ts.final_remote_bytes += remote[t];
+  // The last decision per task belongs to the final LoCBS pass — a
+  // LoC-MPS plan traces only the realization of its committed allocation,
+  // and a fault run's replans supersede the earlier plans.
+  ts.backfilled.assign(num_tasks, 0);
+  for (const PlacementDecision& d : final_decisions(records, num_tasks)) {
+    if (!d.valid()) continue;
+    ts.backfilled[d.task] = d.backfilled ? 1 : 0;
+    ts.final_local_bytes += d.local_bytes;
+    ts.final_remote_bytes += d.remote_bytes;
   }
   return ts;
 }

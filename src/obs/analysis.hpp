@@ -319,12 +319,12 @@ std::vector<TraceRecord> read_trace(std::istream& is);
 
 /// Digest of a trace, joined against a schedule of \p num_tasks tasks.
 struct TraceSummary {
-  std::size_t place_events = 0;    ///< "locbs.place" lines (traced passes)
+  std::size_t decision_events = 0; ///< "locbs.decision" lines (placements)
   std::size_t transfer_events = 0; ///< "sim.transfer" lines
   /// Realized remote bytes: sum of "sim.transfer" byte fields. Must equal
   /// LocalityTotals::remote_bytes of the same run.
   double transfer_bytes = 0.0;
-  /// Final-pass split from the *last* "locbs.place" per task.
+  /// Final-pass split from the *last* "locbs.decision" per task.
   double final_local_bytes = 0.0;
   double final_remote_bytes = 0.0;
   /// Per-task: was the final placement a backfill (started before the

@@ -72,27 +72,6 @@ std::string procs_csv(const std::vector<ProcId>& procs) {
   return out;
 }
 
-std::vector<ProcId> parse_procs_csv(const std::string& csv) {
-  std::vector<ProcId> out;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(csv.c_str() + pos, &end, 10);
-    if (end == csv.c_str() + pos)
-      throw std::runtime_error("provenance: malformed processor list '" +
-                               csv + "'");
-    out.push_back(static_cast<ProcId>(v));
-    pos = static_cast<std::size_t>(end - csv.c_str());
-    if (pos < csv.size()) {
-      if (csv[pos] != ',')
-        throw std::runtime_error("provenance: malformed processor list '" +
-                                 csv + "'");
-      ++pos;
-    }
-  }
-  return out;
-}
-
 std::string encode_candidates(const std::vector<ProvCandidate>& cands) {
   std::string out;
   for (const ProvCandidate& c : cands) {
@@ -235,6 +214,7 @@ std::vector<PlacementDecision> final_decisions(
 }
 
 std::string decision_brief(const PlacementDecision& d) {
+  if (!d.valid()) return "no decision record";
   std::ostringstream os;
   os << "np=" << d.np << " on {" << procs_csv(
             d.winner < d.shortlist.size() ? d.shortlist[d.winner].procs

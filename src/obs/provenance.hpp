@@ -126,13 +126,12 @@ std::vector<PlacementDecision> final_decisions(
 void print_decision(std::ostream& os, const TaskGraph& g,
                     const PlacementDecision& d);
 
-/// One-line digest for critical-path walks and log output.
+/// One-line digest for critical-path walks and log output ("no decision
+/// record" when \p d is invalid).
 std::string decision_brief(const PlacementDecision& d);
 
-/// Comma-joined processor list ("0,3,7"), the trace's procs encoding.
+/// Comma-joined processor list ("0,3,7"), as the decision printers and
+/// the diff artifact show it.
 std::string procs_csv(const std::vector<ProcId>& procs);
-
-/// Inverse of procs_csv; throws std::runtime_error on malformed input.
-std::vector<ProcId> parse_procs_csv(const std::string& csv);
 
 }  // namespace locmps::obs

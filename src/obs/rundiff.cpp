@@ -92,27 +92,21 @@ RunView run_view(const std::vector<TraceRecord>& records,
                  std::size_t num_tasks) {
   RunView v;
   v.tasks.resize(num_tasks);
-  PlacementDecision d;
-  for (const TraceRecord& rec : records) {
-    if (rec.ev == "locbs.place") {
-      const double traw = rec.num("task", -1.0);
-      if (traw < 0.0 || traw >= static_cast<double>(num_tasks)) continue;
-      const TaskId t = static_cast<TaskId>(traw);
-      TaskRun& tr = v.tasks[t];
-      tr.placed = true;
-      tr.np = static_cast<std::size_t>(rec.num("np"));
-      tr.busy_from = rec.num("busy_from");
-      tr.start = rec.num("start");
-      tr.finish = rec.num("finish");
-      tr.remote_bytes = rec.num("remote_bytes");
-      if (const std::string* procs = rec.str("procs"))
-        tr.procs = parse_procs_csv(*procs);
-    } else if (decision_from_record(rec, d)) {
-      if (d.task < num_tasks) v.tasks[d.task].decision = std::move(d);
-    }
+  std::vector<PlacementDecision> last = final_decisions(records, num_tasks);
+  for (TaskId t = 0; t < num_tasks; ++t) {
+    PlacementDecision& d = last[t];
+    if (!d.valid()) continue;
+    TaskRun& tr = v.tasks[t];
+    tr.placed = true;
+    tr.np = d.np;
+    tr.busy_from = d.busy_from;
+    tr.start = d.start;
+    tr.finish = d.finish;
+    tr.remote_bytes = d.remote_bytes;
+    tr.procs = d.shortlist[d.winner].procs;
+    tr.decision = std::move(d);
+    v.makespan = std::max(v.makespan, tr.finish);
   }
-  for (const TaskRun& tr : v.tasks)
-    if (tr.placed) v.makespan = std::max(v.makespan, tr.finish);
   return v;
 }
 
@@ -309,20 +303,8 @@ void print_diff(std::ostream& os, const TaskGraph& g, const RunView& a,
         os << (j == 0 ? " " : " <- ") << at.chain[j];
     }
     os << "\n";
-    const TaskRun& ra = a.tasks[at.task];
-    const TaskRun& rb = b.tasks[at.task];
-    os << "     A: "
-       << (ra.decision.valid()
-               ? decision_brief(ra.decision)
-               : "np=" + std::to_string(ra.np) + " on {" +
-                     procs_csv(ra.procs) + "} (no decision record)")
-       << "\n";
-    os << "     B: "
-       << (rb.decision.valid()
-               ? decision_brief(rb.decision)
-               : "np=" + std::to_string(rb.np) + " on {" +
-                     procs_csv(rb.procs) + "} (no decision record)")
-       << "\n";
+    os << "     A: " << decision_brief(a.tasks[at.task].decision) << "\n";
+    os << "     B: " << decision_brief(b.tasks[at.task].decision) << "\n";
   }
   os << "attributed fraction: " << fmt(100.0 * d.attributed_fraction, 1)
      << "%\n";

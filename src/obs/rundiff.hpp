@@ -32,8 +32,8 @@
 
 namespace locmps::obs {
 
-/// One task's final realized placement in one run, reconstructed from the
-/// last "locbs.place" / "locbs.decision" records it received.
+/// One task's final realized placement in one run, read from the last
+/// "locbs.decision" record it received (procs: the shortlist winner's).
 struct TaskRun {
   bool placed = false;
   std::size_t np = 0;
@@ -42,7 +42,7 @@ struct TaskRun {
   double finish = 0.0;
   double remote_bytes = 0.0;
   std::vector<ProcId> procs;      ///< ascending
-  PlacementDecision decision;     ///< invalid when no decision record seen
+  PlacementDecision decision;     ///< invalid when the task was not placed
 };
 
 /// The per-task view of one run's trace.

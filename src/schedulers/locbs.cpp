@@ -6,7 +6,6 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 
 #include "graph/algorithms.hpp"
 #include "network/block_cyclic.hpp"
@@ -363,29 +362,10 @@ class HoleScan {
                        : 0.0;
   }
 
-  /// Emits the "locbs.place" and "locbs.decision" records of the committed
-  /// step \p s (obs/provenance.hpp documents the schema).
+  /// Emits the "locbs.decision" record of the committed step \p s, the one
+  /// record of a placement (obs/provenance.hpp documents the schema).
   void emit(obs::EventSink& sink, const ReplayStep& s, const Candidate& c,
             double prio, bool perturbed) {
-    std::string procs_str;
-    for (ProcId q : s.procs) {
-      if (!procs_str.empty()) procs_str += ',';
-      procs_str += std::to_string(q);
-    }
-    sink.emit(obs::Event("locbs.place")
-                  .with("task", s.task)
-                  .with("np", static_cast<std::uint64_t>(s.np))
-                  .with("busy_from", s.busy_from)
-                  .with("start", s.start)
-                  .with("finish", s.finish)
-                  .with("holes_scanned",
-                        static_cast<std::uint64_t>(s.holes_probed))
-                  .with("backfill", s.backfilled)
-                  .with("pruned", s.pruned)
-                  .with("subset", s.subset == 0 ? "locality" : "horizon")
-                  .with("local_bytes", s.local_bytes)
-                  .with("remote_bytes", s.remote_bytes)
-                  .with("procs", procs_str));
     obs::PlacementDecision d;
     d.task = s.task;
     d.np = s.np;

@@ -108,8 +108,8 @@ struct FixedPrefix {
 /// \p obs (optional) receives per-placement decision telemetry: "locbs.*"
 /// counters (holes scanned, backfill hits, subset choices, local/remote
 /// redistribution bytes), a "locbs.pass" profiler span, and one
-/// "locbs.place" plus one "locbs.decision" provenance event per task
-/// (obs/provenance.hpp documents the record schema). Null — the default —
+/// "locbs.decision" event per placed task, the only record of a placement
+/// (obs/provenance.hpp documents the schema). Null — the default —
 /// is a zero-cost fast path: all instrumentation hides behind
 /// per-placement branches.
 ///

@@ -12,6 +12,7 @@
 #include "core/experiment.hpp"
 #include "network/block_cyclic.hpp"
 #include "obs/events.hpp"
+#include "obs/provenance.hpp"
 #include "test_util.hpp"
 #include "workloads/synthetic.hpp"
 
@@ -249,15 +250,15 @@ TEST(Analysis, InvariantsHoldOnRealLocMPSRun) {
 
 TEST(Trace, ParsesFlatRecordsAndAccessors) {
   std::istringstream in(
-      "{\"ev\":\"locbs.place\",\"t\":0.25,\"task\":3,\"np\":2,"
-      "\"backfill\":true,\"local_bytes\":10.5,\"remote_bytes\":2.5}\n"
+      "{\"ev\":\"locbs.decision\",\"t\":0.25,\"task\":3,\"np\":2,"
+      "\"backfilled\":true,\"local_bytes\":10.5,\"remote_bytes\":2.5}\n"
       "\n"
       "{\"ev\":\"sim.transfer\",\"bytes\":100,\"edge\":\"e0\"}\n");
   const auto recs = obs::read_trace(in);
   ASSERT_EQ(recs.size(), 2u);
-  EXPECT_EQ(recs[0].ev, "locbs.place");
+  EXPECT_EQ(recs[0].ev, "locbs.decision");
   EXPECT_DOUBLE_EQ(recs[0].num("task"), 3.0);
-  EXPECT_TRUE(recs[0].flag("backfill"));
+  EXPECT_TRUE(recs[0].flag("backfilled"));
   EXPECT_DOUBLE_EQ(recs[0].num("missing", -1.0), -1.0);
   ASSERT_NE(recs[1].str("edge"), nullptr);
   EXPECT_EQ(*recs[1].str("edge"), "e0");
@@ -271,14 +272,27 @@ TEST(Trace, ThrowsOnMalformedLine) {
 }
 
 TEST(Trace, SummaryUsesLastPlacePerTask) {
-  std::istringstream in(
-      "{\"ev\":\"locbs.place\",\"task\":0,\"backfill\":true,"
-      "\"local_bytes\":1,\"remote_bytes\":9}\n"
-      "{\"ev\":\"locbs.place\",\"task\":0,\"backfill\":false,"
-      "\"local_bytes\":7,\"remote_bytes\":3}\n"
-      "{\"ev\":\"sim.transfer\",\"bytes\":3}\n");
+  // Two decision records for task 0, as a fault run's replan writes them:
+  // the later one describes the final placement.
+  std::ostringstream out;
+  obs::JsonlSink sink(out);
+  obs::PlacementDecision d;
+  d.task = 0;
+  d.np = 1;
+  d.shortlist.resize(1);
+  d.shortlist[0].procs = {0};
+  d.backfilled = true;
+  d.local_bytes = 1.0;
+  d.remote_bytes = 9.0;
+  sink.emit(obs::decision_event(d));
+  d.backfilled = false;
+  d.local_bytes = 7.0;
+  d.remote_bytes = 3.0;
+  sink.emit(obs::decision_event(d));
+  sink.emit(obs::Event("sim.transfer").with("bytes", 3.0));
+  std::istringstream in(out.str());
   const auto ts = obs::summarize_trace(obs::read_trace(in), 1);
-  EXPECT_EQ(ts.place_events, 2u);
+  EXPECT_EQ(ts.decision_events, 2u);
   EXPECT_EQ(ts.transfer_events, 1u);
   EXPECT_DOUBLE_EQ(ts.transfer_bytes, 3.0);
   EXPECT_DOUBLE_EQ(ts.final_local_bytes, 7.0);   // last event wins

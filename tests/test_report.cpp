@@ -157,7 +157,7 @@ TEST(Report, Fig06EndToEndReconciliation) {
   ASSERT_FALSE(records.empty());
   const auto digest = obs::summarize_trace(records, g.num_tasks());
   // Only LoC-MPS's final realization traces its placements.
-  EXPECT_EQ(digest.place_events, g.num_tasks());
+  EXPECT_EQ(digest.decision_events, g.num_tasks());
 
   // Analyzer totals == simulator counters == trace, to rounding.
   const auto& lt = run.analysis.locality;
