@@ -130,7 +130,6 @@ RecoveryResult run_with_faults(const TaskGraph& g, const Cluster& cluster,
   std::vector<std::size_t> attempts(n, 0);
   std::vector<char> announced(P, 0);
   std::vector<char> mitigated(n, 0);  // at most one mitigation per task
-  ProcessorSet survivors = cluster.all();
 
   SimOptions sim;
   sim.noise_factors = &noise;
@@ -173,6 +172,64 @@ RecoveryResult run_with_faults(const TaskGraph& g, const Cluster& cluster,
                           .with("rounds",
                                 static_cast<std::uint64_t>(out.rounds)));
     return out;
+  };
+
+  // The degraded-cluster replan at instant `at`, shared by the failure and
+  // the straggler path. Everything that started by `at` keeps its realized
+  // window, except the `cancelled` task; compute work that an `in_flight`
+  // kill will end later keeps running, since that kill is not observable
+  // yet and is handled when it replays. The rest is released no earlier
+  // than `at` and re-planned on the processors outside out.masked.
+  struct Replanned {
+    std::string error;  ///< non-empty: too few survivors, give up with it
+    std::size_t survivors = 0;
+    std::size_t frozen = 0;
+    double estimated = 0.0;
+  };
+  auto replan_at = [&](const SimResult& run, double at, TaskId cancelled,
+                       const std::vector<const TaskKill*>& in_flight) {
+    Replanned r;
+    ProcessorSet survivors = cluster.all();
+    survivors -= out.masked;
+    r.survivors = survivors.count();
+    const std::size_t min_width = std::max<std::size_t>(1, opt.min_procs);
+    if (r.survivors < min_width) {
+      r.error = "cluster degraded below minimum width: " +
+                std::to_string(r.survivors) + " survivors < " +
+                std::to_string(min_width) + " required";
+      return r;
+    }
+    const double eps = 1e-9 * std::max(1.0, std::fabs(at));
+    Schedule committed(n, P);
+    std::vector<char> frozen(n, 0);
+    for (TaskId t = 0; t < n; ++t) {
+      const Placement& pe = run.executed.at(t);
+      if (t != cancelled && pe.scheduled() && pe.start <= at + eps) {
+        frozen[t] = 1;
+        committed.place(t, pe.busy_from, pe.start, pe.finish, pe.procs);
+        ++r.frozen;
+      }
+    }
+    for (const TaskKill* k : in_flight) {
+      if (k->kind != TaskKill::Kind::kCompute || k->start > at + eps)
+        continue;
+      frozen[k->task] = 1;
+      committed.place(k->task, k->busy_from, k->start, k->planned_finish,
+                      current.at(k->task).procs);
+      ++r.frozen;
+    }
+    for (TaskId t = 0; t < n; ++t)
+      if (frozen[t] == 0) release[t] = std::max(release[t], at);
+
+    FixedPrefix fixed;
+    fixed.frozen = std::move(frozen);
+    fixed.placements = &committed;
+    fixed.not_before = at;
+    fixed.available = &survivors;
+    SchedulerResult re = planner.schedule_with_fixed(g, cluster, fixed);
+    current = std::move(re.schedule);
+    r.estimated = re.estimated_makespan;
+    return r;
   };
 
   while (out.rounds < opt.max_rounds) {
@@ -331,48 +388,11 @@ RecoveryResult run_with_faults(const TaskGraph& g, const Cluster& cluster,
                 if (opt.perturb->slowdown(q, detect_at) > 1.0)
                   out.masked.insert(q);
               });
-            survivors = cluster.all();
-            survivors -= out.masked;
-            const std::size_t alive_procs = survivors.count();
-            if (alive_procs < std::max<std::size_t>(1, opt.min_procs))
-              return giveup(
-                  std::move(run),
-                  "cluster degraded below minimum width: " +
-                      std::to_string(alive_procs) + " survivors < " +
-                      std::to_string(
-                          std::max<std::size_t>(1, opt.min_procs)) +
-                      " required");
-
-            const double eps =
-                1e-9 * std::max(1.0, std::fabs(detect_at));
-            Schedule committed(n, P);
-            std::vector<char> frozen(n, 0);
-            std::size_t n_frozen = 0;
-            for (TaskId t2 = 0; t2 < n; ++t2) {
-              if (t2 == straggler) continue;
-              const Placement& p2 = run.executed.at(t2);
-              if (p2.scheduled() && p2.start <= detect_at + eps) {
-                frozen[t2] = 1;
-                committed.place(t2, p2.busy_from, p2.start, p2.finish,
-                                p2.procs);
-                ++n_frozen;
-              }
-            }
-            for (TaskId t2 = 0; t2 < n; ++t2)
-              if (frozen[t2] == 0)
-                release[t2] = std::max(release[t2], detect_at);
+            const Replanned re = replan_at(run, detect_at, straggler, {});
+            if (!re.error.empty()) return giveup(std::move(run), re.error);
             const double wasted =
                 static_cast<double>(pe.np()) * (detect_at - pe.start);
             out.mitigation_wasted_seconds += wasted;
-
-            FixedPrefix fixed;
-            fixed.frozen = std::move(frozen);
-            fixed.placements = &committed;
-            fixed.not_before = detect_at;
-            fixed.available = &survivors;
-            SchedulerResult re =
-                planner.schedule_with_fixed(g, cluster, fixed);
-            current = std::move(re.schedule);
             ++out.straggler_replans;
             if (met != nullptr) {
               met->add("mitigation.replans");
@@ -388,9 +408,9 @@ RecoveryResult run_with_faults(const TaskGraph& g, const Cluster& cluster,
                       .with("masked",
                             static_cast<std::uint64_t>(out.masked.count()))
                       .with("survivors",
-                            static_cast<std::uint64_t>(alive_procs))
-                      .with("frozen", static_cast<std::uint64_t>(n_frozen))
-                      .with("estimated", re.estimated_makespan)
+                            static_cast<std::uint64_t>(re.survivors))
+                      .with("frozen", static_cast<std::uint64_t>(re.frozen))
+                      .with("estimated", re.estimated)
                       .with("wasted_s", wasted));
           }
           continue;
@@ -518,51 +538,8 @@ RecoveryResult run_with_faults(const TaskGraph& g, const Cluster& cluster,
       // the decision instant (monotone — each replan masks at least one
       // new onset, bounding the number of replans by the cluster size).
       out.masked |= plan.failed_by(t_k);
-      survivors = cluster.all();
-      survivors -= out.masked;
-      const std::size_t alive_procs = survivors.count();
-      if (alive_procs < std::max<std::size_t>(1, opt.min_procs))
-        return giveup(std::move(run),
-                      "cluster degraded below minimum width: " +
-                          std::to_string(alive_procs) + " survivors < " +
-                          std::to_string(std::max<std::size_t>(
-                              1, opt.min_procs)) +
-                          " required");
-
-      // Freeze everything already committed at the decision instant: tasks
-      // that started (or finished) by t_k keep their realized windows, and
-      // work in flight that a *later* onset will kill keeps running — that
-      // kill is not observable yet and is handled when it replays.
-      Schedule committed(n, P);
-      std::vector<char> frozen(n, 0);
-      std::size_t n_frozen = 0;
-      for (TaskId t = 0; t < n; ++t) {
-        const Placement& pe = run.executed.at(t);
-        if (pe.scheduled() && pe.start <= t_k + eps) {
-          frozen[t] = 1;
-          committed.place(t, pe.busy_from, pe.start, pe.finish, pe.procs);
-          ++n_frozen;
-        }
-      }
-      for (const TaskKill* k : later) {
-        if (k->kind != TaskKill::Kind::kCompute || k->start > t_k + eps)
-          continue;
-        frozen[k->task] = 1;
-        committed.place(k->task, k->busy_from, k->start, k->planned_finish,
-                        current.at(k->task).procs);
-        ++n_frozen;
-      }
-
-      for (TaskId t = 0; t < n; ++t)
-        if (frozen[t] == 0) release[t] = std::max(release[t], t_k);
-
-      FixedPrefix fixed;
-      fixed.frozen = std::move(frozen);
-      fixed.placements = &committed;
-      fixed.not_before = t_k;
-      fixed.available = &survivors;
-      SchedulerResult re = planner.schedule_with_fixed(g, cluster, fixed);
-      current = std::move(re.schedule);
+      const Replanned re = replan_at(run, t_k, kNoTask, later);
+      if (!re.error.empty()) return giveup(std::move(run), re.error);
       ++out.replans;
       if (met != nullptr) {
         met->add("recovery.replans");
@@ -573,12 +550,11 @@ RecoveryResult run_with_faults(const TaskGraph& g, const Cluster& cluster,
         obs->sink->emit(
             obs::Event("recovery.replan")
                 .with("at", t_k)
-                .with("survivors",
-                      static_cast<std::uint64_t>(alive_procs))
+                .with("survivors", static_cast<std::uint64_t>(re.survivors))
                 .with("masked",
                       static_cast<std::uint64_t>(out.masked.count()))
-                .with("frozen", static_cast<std::uint64_t>(n_frozen))
-                .with("estimated", re.estimated_makespan));
+                .with("frozen", static_cast<std::uint64_t>(re.frozen))
+                .with("estimated", re.estimated));
     }
   }
 
