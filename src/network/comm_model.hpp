@@ -11,7 +11,6 @@
 ///    so the cost shrinks with data locality.
 
 #include <cstddef>
-#include <stdexcept>
 
 #include "cluster/cluster.hpp"
 #include "network/block_cyclic.hpp"
@@ -65,22 +64,6 @@ class CommModel {
 
   /// True when the platform overlaps communication with computation.
   bool overlap() const { return cluster_.overlap_comm_compute; }
-
-  /// The uniformly-degraded counterpart of this model: link bandwidth
-  /// scaled by \p scale in (0, 1], latency unchanged. Static analogue of a
-  /// PerturbationPlan's degraded-link windows (faults/perturbation.hpp) —
-  /// useful for pricing a worst-case transfer or planning conservatively.
-  /// Shares the evaluation-counter cell. Throws std::invalid_argument when
-  /// scale is outside (0, 1].
-  CommModel degraded(double scale) const {
-    if (!(scale > 0.0) || scale > 1.0)
-      throw std::invalid_argument("CommModel::degraded: scale not in (0, 1]");
-    Cluster c = cluster_;
-    c.bandwidth_Bps *= scale;
-    CommModel m(c);
-    m.evals_ = evals_;
-    return m;
-  }
 
   /// Observability hook: every transfer_duration() evaluation bumps
   /// *\p cell (a MetricsRegistry::cell_ptr slot, typically
