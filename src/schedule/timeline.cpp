@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include "util/stats.hpp"
 
 namespace locmps {
 
@@ -31,37 +30,6 @@ void Timeline::occupy(const ProcessorSet& procs, double start, double end) {
   });
 }
 
-void Timeline::release(const ProcessorSet& procs, double start, double end) {
-  if (end <= start) return;  // zero-length bookings were never stored
-  ++epoch_;
-  procs.for_each([&](ProcId q) {
-    auto& v = busy_[q];
-    const Interval iv{start, end};
-    auto it = std::lower_bound(
-        v.begin(), v.end(), iv,
-        [](const Interval& a, const Interval& b) { return a.start < b.start; });
-    // Exact identity lookup: a release must name bounds bit-equal to the
-    // booking that stored them (callers pass back the booked values, never
-    // recomputed ones), so tolerance matching would be a bug mask.
-    assert(it != v.end() && it->start == start &&  // LINT-ALLOW(float-eq)
-           it->end == end);                        // LINT-ALLOW(float-eq)
-    if (it != v.end() && it->start == start &&  // LINT-ALLOW(float-eq)
-        it->end == end)                         // LINT-ALLOW(float-eq)
-      v.erase(it);
-  });
-}
-
-bool Timeline::is_free(ProcId q, double start, double end) const {
-  const auto& v = busy_[q];
-  // First interval ending after `start` is the only one that can overlap
-  // [start, end): everything before it ended by `start`, everything after
-  // it starts no earlier than it does.
-  auto it = std::upper_bound(
-      v.begin(), v.end(), start,
-      [](double x, const Interval& iv) { return x < iv.end; });
-  return it == v.end() || it->start >= end;
-}
-
 double Timeline::free_until(ProcId q, double t) const {
   const auto& v = busy_[q];
   // First interval with start > t; the previous one must have ended by t.
@@ -77,16 +45,6 @@ double Timeline::latest_free_time(ProcId q) const {
   return v.empty() ? 0.0 : v.back().end;
 }
 
-std::vector<double> Timeline::candidate_times(double from) const {
-  std::vector<double> times{from};
-  for (const auto& v : busy_)
-    for (const Interval& iv : v)
-      if (iv.end > from) times.push_back(iv.end);
-  std::sort(times.begin(), times.end(), total_less);
-  times.erase(std::unique(times.begin(), times.end()), times.end());
-  return times;
-}
-
 std::vector<Timeline::Hole> Timeline::holes(ProcId q, double horizon) const {
   std::vector<Hole> out;
   if (horizon <= 0.0) return out;
@@ -97,12 +55,6 @@ std::vector<Timeline::Hole> Timeline::holes(ProcId q, double horizon) const {
     cursor = std::max(cursor, std::min(iv.end, horizon));
   }
   if (cursor < horizon) out.push_back(Hole{cursor, horizon});
-  return out;
-}
-
-std::vector<Timeline::FreeProc> Timeline::available_at(double t) const {
-  std::vector<FreeProc> out;
-  available_at(t, out);
   return out;
 }
 

@@ -42,16 +42,6 @@ class Timeline {
   /// by assertion in debug builds).
   void occupy(const ProcessorSet& procs, double start, double end);
 
-  /// Reverses a prior occupy(): erases the booking [start, end) from every
-  /// processor in \p procs. The exact interval must have been booked
-  /// (bookings are never split or merged, so it survives verbatim);
-  /// asserted in debug builds, a per-processor no-op when absent in
-  /// release builds.
-  void release(const ProcessorSet& procs, double start, double end);
-
-  /// True when \p q is idle throughout [start, end).
-  [[nodiscard]] bool is_free(ProcId q, double start, double end) const;
-
   /// If \p q is idle at time \p t: the time at which it next becomes busy
   /// (kForever if never). If busy at \p t: returns a negative value.
   [[nodiscard]] double free_until(ProcId q, double t) const;
@@ -60,22 +50,14 @@ class Timeline {
   /// processor is guaranteed free from this time on.
   [[nodiscard]] double latest_free_time(ProcId q) const;
 
-  /// Candidate hole-start times at or after \p from: \p from itself plus
-  /// every busy-interval end time > from, sorted ascending and deduplicated.
-  /// Availability only changes at these instants, so backfill need only
-  /// probe them.
-  [[nodiscard]] std::vector<double> candidate_times(double from) const;
-
   /// A processor available at some probe time, with its free-until horizon.
   struct FreeProc {
     ProcId proc;
     double until;  ///< next busy start, or kForever
   };
 
-  /// All processors idle at time \p t, each with its free-until horizon.
-  [[nodiscard]] std::vector<FreeProc> available_at(double t) const;
-
-  /// Allocation-free variant for hot loops: fills \p out.
+  /// Fills \p out with every processor idle at time \p t, ascending, each
+  /// with its free-until horizon.
   void available_at(double t, std::vector<FreeProc>& out) const;
 
   /// An idle window on one processor.
@@ -123,7 +105,7 @@ class Timeline {
   // Per-processor busy intervals kept sorted by start; disjointness makes
   // the end times sorted as well (the invariant the Sweep cursor rides).
   std::vector<std::vector<Interval>> busy_;
-  // Bumped by every occupy()/release() so cursors know to re-seek.
+  // Bumped by every occupy() so cursors know to re-seek.
   std::uint64_t epoch_ = 0;
 };
 

@@ -1,7 +1,6 @@
 #pragma once
 /// \file annotations.hpp
-/// Clang thread-safety annotations and the annotated synchronization
-/// primitives built on them (docs/static_analysis.md).
+/// Clang thread-safety annotations (docs/static_analysis.md).
 ///
 /// Under Clang with -Wthread-safety the LOCMPS_* macros expand to the
 /// `capability` attribute family, so taking a lock out of order or
@@ -12,11 +11,9 @@
 /// Raw std::mutex carries none of these attributes in libstdc++, which
 /// makes locking through it invisible to the analysis — that is why
 /// locmps-lint's raw-mutex rule bans naked std synchronization primitives
-/// everywhere but this header. Use:
-///  * locmps::Mutex           — an annotated capability;
-///  * locmps::MutexLock       — scoped acquire/release (lock_guard shape);
-///  * locmps::CondVar         — condition variable waiting on a Mutex,
-///    wait() declared LOCMPS_REQUIRES(mu) so callers must hold the lock.
+/// everywhere but this header. Code that needs a lock wraps the primitive
+/// here first, in a class that carries LOCMPS_CAPABILITY; the planner
+/// itself takes no locks.
 ///
 /// Thread-compatible classes (safe from one thread at a time, externally
 /// synchronized or thread-private by design — obs::MetricsRegistry,
@@ -24,9 +21,6 @@
 /// a capability: they have no lock for the analysis to track, and
 /// compare_schemes' worker grid gives every run its own
 /// (core/experiment.cpp).
-
-#include <condition_variable>
-#include <mutex>
 
 #if defined(__clang__) && defined(__has_attribute)
 #if __has_attribute(capability)
@@ -69,65 +63,3 @@
 /// Documentation-only marker for thread-compatible classes: safe from one
 /// thread at a time; confinement (not a lock) is the synchronization.
 #define LOCMPS_THREAD_COMPATIBLE
-
-namespace locmps {
-
-/// std::mutex with the capability attribute, so -Wthread-safety tracks
-/// what it guards.
-class LOCMPS_CAPABILITY("mutex") Mutex {
- public:
-  Mutex() = default;
-  Mutex(const Mutex&) = delete;
-  Mutex& operator=(const Mutex&) = delete;
-
-  void lock() LOCMPS_ACQUIRE() { mu_.lock(); }
-  void unlock() LOCMPS_RELEASE() { mu_.unlock(); }
-  bool try_lock() LOCMPS_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
- private:
-  friend class CondVar;
-  std::mutex mu_;
-};
-
-/// Scoped lock of one Mutex (the std::lock_guard shape, annotated).
-class LOCMPS_SCOPED_CAPABILITY MutexLock {
- public:
-  explicit MutexLock(Mutex& mu) LOCMPS_ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
-  ~MutexLock() LOCMPS_RELEASE() { mu_.unlock(); }
-
-  MutexLock(const MutexLock&) = delete;
-  MutexLock& operator=(const MutexLock&) = delete;
-
- private:
-  Mutex& mu_;
-};
-
-/// Condition variable bound to locmps::Mutex. wait() requires the lock and
-/// returns with it re-held, exactly like std::condition_variable::wait —
-/// callers loop on their predicate:
-///
-///   MutexLock lk(mu_);
-///   while (!ready_) cv_.wait(mu_);
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Atomically releases \p mu and blocks; re-acquires before returning.
-  /// Declared as holding the lock throughout: the window where it is
-  /// released is invisible to callers, matching the analysis model.
-  void wait(Mutex& mu) LOCMPS_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lk(mu.mu_, std::adopt_lock);
-    cv_.wait(lk);
-    lk.release();  // ownership stays with the caller's MutexLock
-  }
-
-  void notify_one() { cv_.notify_one(); }
-  void notify_all() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
-};
-
-}  // namespace locmps

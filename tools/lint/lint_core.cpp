@@ -415,7 +415,7 @@ class Linter {
 
   // raw-mutex: naked std synchronization primitives carry no Clang
   // thread-safety annotations, so lock/unlock discipline on them is
-  // invisible to -Wthread-safety. Use the annotated wrappers.
+  // invisible to -Wthread-safety. Wrap them in util/annotations.hpp.
   void raw_sync() {
     static const std::set<std::string> kBanned = {
         "mutex", "recursive_mutex", "shared_mutex", "timed_mutex",
@@ -428,8 +428,8 @@ class Linter {
       if (!std_qualified(t, i)) continue;
       add(t[i].line, "raw-mutex",
           "std::" + t[i].text +
-              " is invisible to Clang thread-safety analysis; use "
-              "locmps::Mutex / MutexLock / CondVar from util/annotations.hpp");
+              " is invisible to Clang thread-safety analysis; wrap it in "
+              "an annotated capability class in util/annotations.hpp");
     }
   }
 
