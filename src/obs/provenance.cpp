@@ -249,9 +249,9 @@ void print_decision(std::ostream& os, const TaskGraph& g,
      << " locality=" << (d.locality_branch ? "on" : "off")
      << " comm_blind=" << (d.comm_blind ? "on" : "off") << "; ready at "
      << fmt(d.est, 4) << " s, priority " << fmt(d.prio, 4) << "\n";
-  os << "  scan: " << d.holes_probed << " hole(s) probed, "
-     << d.candidates_scored << " feasible candidate(s) scored"
-     << (d.pruned ? ", cut off by the finish lower bound" : "") << "\n";
+  os << "  scan: " << d.holes_probed << " hole(s) probed"
+     << (d.pruned ? ", cut off by the finish lower bound" : "") << "; "
+     << d.candidates_scored << " feasible candidate(s) over every instant\n";
   os << "  realized input: " << fmt(d.local_bytes / 1e6, 3)
      << " MB local, " << fmt(d.remote_bytes / 1e6, 3) << " MB remote\n";
   os << "  shortlist (ascending finish; * = committed):\n";

@@ -1,13 +1,17 @@
 #pragma once
 /// \file provenance.hpp
 /// Decision provenance for LoCBS placements: *why* a task landed where it
-/// did. Every placement commits one "locbs.decision" event carrying the
-/// candidate (processor set, start slot) shortlist LoCBS actually scored —
-/// per candidate the probe instant, start/finish, remote redistribution
-/// volume and resident-input locality score — plus the winner, the margin
-/// over the distinct runner-up, and the branch switches (backfill /
-/// locality / comm-blind) in force. The record flows through the ordinary
-/// event path (JSONL sink or EventBuffer) like every other event.
+/// did. Every placement commits one "locbs.decision" event carrying a
+/// candidate (processor set, start slot) shortlist — per candidate the
+/// probe instant, start/finish, remote redistribution volume and
+/// resident-input locality score — plus the winner, the margin over the
+/// distinct runner-up, and the branch switches (backfill / locality /
+/// comm-blind) in force. The shortlist, the candidate count and the
+/// margin are those of LoCBS's reference scan, which probes every instant
+/// without shortcuts; the probe count and the prune flag are those of the
+/// planner's own hole scan (schedulers/locbs.hpp). The record flows
+/// through the ordinary event path (JSONL sink or EventBuffer) like every
+/// other event.
 ///
 /// This header owns the record schema: the structs, the compact candidate
 /// encoding used for the single-line JSONL field, the TraceRecord
@@ -30,8 +34,8 @@ namespace locmps::obs {
 struct ProvCandidate {
   double tau = 0.0;       ///< probe instant (hole start) that produced it
   /// 0 = locality-first, 1 = horizon-first, 2 = shadow (the anti-locality
-  /// counterfactual, scored for the record and the perturb hook but never
-  /// eligible to win).
+  /// counterfactual the reference scan scores for the record and the
+  /// perturb hook, never eligible to win).
   int subset = -1;
   double start = 0.0;
   double finish = 0.0;
@@ -84,8 +88,8 @@ struct PlacementDecision {
   bool backfilled = false;       ///< realized: acquired before chart end
   bool pruned = false;           ///< hole scan cut off by the lower bound
   bool perturbed = false;        ///< runner-up forced (perturb_task hook)
-  std::uint64_t holes_probed = 0;
-  std::uint64_t candidates_scored = 0;  ///< feasible candidates considered
+  std::uint64_t holes_probed = 0;       ///< probes of the hole scan
+  std::uint64_t candidates_scored = 0;  ///< feasible reference candidates
   std::size_t winner = 0;     ///< index of the committed candidate
   /// Finish-time margin of the distinct runner-up over the winner
   /// (< 0: the scan produced no distinct alternative).

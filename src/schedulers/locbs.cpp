@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <tuple>
 
 #include "graph/algorithms.hpp"
 #include "network/block_cyclic.hpp"
@@ -36,7 +39,8 @@ struct Candidate {
   double busy_from = 0.0;
   bool resource_induced = false;  ///< start delayed by processor contention
   double touch = 0.0;             ///< instant whose finishers blocked us
-  int subset = -1;                ///< 0 = locality-first, 1 = horizon-first
+  /// 0 = locality-first, 1 = horizon-first, 2 = shadow (ReferenceScan)
+  int subset = -1;
   std::vector<ProcId> procs;      ///< ascending
 };
 
@@ -45,6 +49,15 @@ struct Candidate {
 /// (otherwise the margin degenerates to 0).
 bool distinct(const Candidate& a, const Candidate& b) {
   return a.procs != b.procs || !about(a.start, b.start);
+}
+
+/// True when two candidates are the same placement bit for bit: the same
+/// subset ordering, processors and window. Both scans time a subset with
+/// one formula, so an exact hole scan matches the reference exactly.
+bool same_placement(const Candidate& a, const Candidate& b) {
+  return a.subset == b.subset && a.procs == b.procs &&
+         a.busy_from == b.busy_from &&                // LINT-ALLOW(float-eq)
+         a.start == b.start && a.finish == b.finish;  // LINT-ALLOW(float-eq)
 }
 
 /// Computes into \p ps the execution times, allocation-stage edge costs,
@@ -150,15 +163,131 @@ struct PlaceCells {
   double* remote_bytes = nullptr;
 };
 
+/// What both scans of one ready task read from the chart before they
+/// probe: the task's ready time, its data-carrying in-edges, and the bytes
+/// of its input resident on each processor (Alg. 2 step 9's locality
+/// score). None of it is a shortcut, so the scans share one copy.
+struct TaskInputs {
+  void load(const TaskGraph& g, const LocBSOptions& opt,
+            const FixedPrefix* fixed, const Chart& chart, TaskId t,
+            std::size_t np, double et) {
+    task = t;
+    need = np;
+    exec = et;
+    est0 = fixed != nullptr ? fixed->not_before : 0.0;
+    for (EdgeId e : g.in_edges(t))
+      est0 = std::max(est0, chart.ft[g.edge(e).src]);
+    score.assign(chart.timeline.num_procs(), 0.0);
+    comm_edges.clear();
+    if (!opt.comm_blind)
+      for (EdgeId e : g.in_edges(t))
+        if (g.edge(e).volume_bytes > 0.0) comm_edges.push_back(e);
+    if (!opt.locality) return;
+    for (EdgeId e : comm_edges) {
+      const Edge& ed = g.edge(e);
+      const std::vector<ProcId>& src = chart.placed[ed.src];
+      const double share = ed.volume_bytes / static_cast<double>(src.size());
+      for (ProcId q : src) score[q] += share;
+    }
+  }
+
+  TaskId task = kNoTask;
+  std::size_t need = 0;            ///< processors to acquire, np(t)
+  double exec = 0.0;               ///< execution time on `need` processors
+  double est0 = 0.0;               ///< ready time
+  std::vector<EdgeId> comm_edges;  ///< in-edges that carry data
+  std::vector<double> score;       ///< bytes of input resident per proc
+};
+
+/// Alg. 2's eligibility test at probe instant \p tau: a processor idle
+/// there (\p avail), usable under the survivor mask, whose idle window
+/// lasts at least until tau + exec (a busy window can only end later
+/// than that). Fills \p eligible and, for each eligible processor, its
+/// free-until horizon in \p until_of (-1 elsewhere).
+void filter_eligible(double tau, const TaskInputs& in,
+                     const std::vector<Timeline::FreeProc>& avail,
+                     const FixedPrefix* fixed, std::vector<double>& until_of,
+                     std::vector<ProcId>& eligible) {
+  std::fill(until_of.begin(), until_of.end(), -1.0);
+  eligible.clear();
+  for (const auto& f : avail) {
+    if (fixed != nullptr && !fixed->usable(f.proc)) continue;
+    if (f.until >= tau + in.exec) {
+      until_of[f.proc] = f.until;
+      eligible.push_back(f.proc);
+    }
+  }
+}
+
+/// Probe instants of the no-backfill variant (Fig 6): each processor's
+/// latest free time, raised to the ready time, ascending and deduplicated.
+/// Holes earlier in the chart are ignored.
+void latest_free_instants(const Timeline& tl, double est0,
+                          std::vector<double>& taus) {
+  taus.clear();
+  for (ProcId q = 0; q < tl.num_procs(); ++q)
+    taus.push_back(std::max(est0, tl.latest_free_time(q)));
+  std::sort(taus.begin(), taus.end(), total_less);
+  taus.erase(std::unique(taus.begin(), taus.end()), taus.end());
+}
+
+/// Remote bytes (\p rvol) and redistribution duration (\p durs) of each
+/// data-carrying in-edge of the task onto \p procs: only the block-cyclic
+/// remote volume crosses the network (Section III-B).
+void redistribute(const TaskGraph& g, const Chart& chart,
+                  const CommModel& comm, bool locality, const TaskInputs& in,
+                  const std::vector<ProcId>& procs, std::vector<double>& rvol,
+                  std::vector<double>& durs) {
+  rvol.resize(in.comm_edges.size());
+  durs.resize(in.comm_edges.size());
+  for (std::size_t k = 0; k < in.comm_edges.size(); ++k) {
+    const Edge& ed = g.edge(in.comm_edges[k]);
+    const std::vector<ProcId>& src = chart.placed[ed.src];
+    rvol[k] = locality ? ed.volume_bytes * remote_fraction(src, procs)
+                       : ed.volume_bytes;
+    durs[k] = comm.transfer_duration(rvol[k], src.size(), in.need);
+  }
+}
+
+/// Times \p c, a subset acquired at probe instant \p tau whose in-edge
+/// redistributions take \p durs: start, finish, busy-from, and whether
+/// processor contention (not data) delayed it.
+void time_slot(const TaskGraph& g, const Chart& chart, const TaskInputs& in,
+               bool overlap, double tau, const std::vector<double>& durs,
+               Candidate& c) {
+  double arrive = in.est0;  // latest input arrival (overlap mode)
+  double comm_total = 0.0;
+  for (std::size_t k = 0; k < in.comm_edges.size(); ++k) {
+    comm_total += durs[k];
+    const TaskId src = g.edge(in.comm_edges[k]).src;
+    arrive = std::max(arrive, chart.ft[src] + durs[k]);
+  }
+  if (overlap) {
+    c.start = std::max(tau, arrive);
+    c.busy_from = c.start;
+    c.resource_induced = later_than(tau, arrive);
+    c.touch = c.start;
+  } else {
+    // Transfers occupy the destination processors and serialize.
+    const double base = std::max(tau, in.est0);
+    c.start = base + comm_total;
+    c.busy_from = base;
+    c.resource_induced = later_than(tau, in.est0);
+    c.touch = base;
+  }
+  c.finish = c.start + in.exec;
+}
+
 /// The hole scan of one ready task: probes the chart for the processor
 /// subset with the earliest finish and realizes the winner as a
 /// ReplayStep for the commit. It reads the chart and writes
 /// nothing to it; the buffers it reuses across placements are its own.
 ///
-/// When provenance or the perturb hook asks, the scan also tracks the
-/// distinct runner-up, scores anti-locality shadow subsets, records the
-/// shortlist, and probes a few instants past the prune point. None of
-/// that can change the winner.
+/// Three shortcuts keep it fast, and each is exact: the sweep cursor
+/// answers the ascending availability queries, a per-subset cache keeps
+/// redistribution durations across probe instants, and a monotone lower
+/// bound stops the scan once no later instant can finish earlier. The
+/// ReferenceScan below has none of them and checks the winner.
 class HoleScan {
  public:
   HoleScan(const TaskGraph& g, const CommModel& comm, const LocBSOptions& opt,
@@ -170,8 +299,6 @@ class HoleScan {
         chart_(chart),
         obs_(obs),
         P_(comm.cluster().processors),
-        want_prov_(obs::wants_events(obs)),
-        score_(P_),
         until_of_(P_),
         sweep_(chart.timeline),
         is_parent_(g.num_tasks(), 0) {
@@ -179,79 +306,43 @@ class HoleScan {
     sel_.reserve(P_);
   }
 
-  /// Scans for task \p t, which needs \p need processors for \p exec
-  /// each, and returns the winner.
-  const Candidate& run(TaskId t, std::size_t need, double exec) {
-    t_ = t;
-    need_ = need;
-    exec_ = exec;
-    want_second_ = want_prov_ || t == opt_.perturb_task;
+  /// Scans for the task whose inputs are \p in and returns the winner.
+  const Candidate& run(const TaskInputs& in) {
+    in_ = &in;
     holes_probed_ = 0;
     pruned_ = false;
-    cands_scored_ = 0;
     evals_before_ = comm_.evals_cell() != nullptr ? *comm_.evals_cell() : 0.0;
     best_.finish = kInf;
-    second_.finish = kInf;
-    shadows_.clear();
-    shortlist_.clear();
     for (auto& c : durs_cache_) c.procs.clear();
-
-    // Ready time and per-processor locality score.
-    est0_ = fixed_ != nullptr ? fixed_->not_before : 0.0;
-    for (EdgeId e : g_.in_edges(t))
-      est0_ = std::max(est0_, chart_.ft[g_.edge(e).src]);
-    std::fill(score_.begin(), score_.end(), 0.0);
-    comm_edges_.clear();
-    if (!opt_.comm_blind)
-      for (EdgeId e : g_.in_edges(t))
-        if (g_.edge(e).volume_bytes > 0.0) comm_edges_.push_back(e);
-    if (opt_.locality) {
-      for (EdgeId e : comm_edges_) {
-        const Edge& ed = g_.edge(e);
-        const std::vector<ProcId>& src = chart_.placed[ed.src];
-        const double share =
-            ed.volume_bytes / static_cast<double>(src.size());
-        for (ProcId q : src) score_[q] += share;
-      }
-    }
 
     // Lower bounds on data arrival / total transfer time over *any*
     // processor subset of size `need`: at best min(s, need) of a parent's s
     // blocks-per-period can stay local (lcm-period argument), so at least
     // the remaining fraction must cross the network. Used to prune the hole
     // scan.
-    arrive_lb_ = est0_;
+    arrive_lb_ = in.est0;
     comm_lb_ = 0.0;
-    for (EdgeId e : comm_edges_) {
+    for (EdgeId e : in.comm_edges) {
       const Edge& ed = g_.edge(e);
       const std::size_t s = chart_.placed[ed.src].size();
       double frac_min = 1.0;
       if (opt_.locality) {
-        const std::size_t gg = std::gcd(s, need);
+        const std::size_t gg = std::gcd(s, in.need);
         const double L =
-            static_cast<double>(s / gg) * static_cast<double>(need);
-        frac_min = 1.0 - static_cast<double>(std::min(s, need)) / L;
+            static_cast<double>(s / gg) * static_cast<double>(in.need);
+        frac_min = 1.0 - static_cast<double>(std::min(s, in.need)) / L;
       }
       const double dur_min =
-          comm_.transfer_duration(ed.volume_bytes * frac_min, s, need);
+          comm_.transfer_duration(ed.volume_bytes * frac_min, s, in.need);
       arrive_lb_ = std::max(arrive_lb_, chart_.ft[ed.src] + dur_min);
       comm_lb_ += dur_min;
     }
 
     // Monotone pruning: any later hole acquires processors at >= next_tau,
-    // and no subset beats the arrival lower bound. When a runner-up is
-    // wanted, the scan keeps probing a few instants past the prune point:
-    // finish_lb guarantees those candidates cannot beat the winner, but they
-    // populate the shortlist and give the margin / perturb hook a distinct
-    // alternative that the pruned scan would never see.
-    constexpr std::size_t kProvExtension = 8;
-    std::size_t extension = 0;
+    // and no subset beats the arrival lower bound.
     auto stop_before = [&](double next_tau) {
-      if (!(best_.finish < kInf && best_.finish <= finish_lb(next_tau)))
-        return false;
-      pruned_ = true;
-      return !want_second_ || second_.finish < kInf ||
-             ++extension > kProvExtension;
+      pruned_ = best_.finish < kInf && best_.finish <= finish_lb(next_tau);
+      return pruned_;
     };
 
     LOCMPS_SPAN(obs_, "locbs.hole_scan");
@@ -260,8 +351,8 @@ class HoleScan {
       // Probe instants ascend (est0, then every later finish event), so the
       // sweep cursor answers each availability query in amortized O(1) per
       // processor.
-      auto next_ev = std::upper_bound(events.begin(), events.end(), est0_);
-      double tau = est0_;
+      auto next_ev = std::upper_bound(events.begin(), events.end(), in.est0);
+      double tau = in.est0;
       for (;;) {
         sweep_.available_at(tau, avail_);
         probe(tau, avail_);
@@ -270,14 +361,9 @@ class HoleScan {
         ++next_ev;
       }
     } else {
-      // No-backfill variant (Fig 6): only the latest free time of each
-      // processor is consulted; holes earlier in the chart are ignored.
+      // Only processors free from tau on are available.
       const Timeline& tl = chart_.timeline;
-      taus_.clear();
-      for (ProcId q = 0; q < P_; ++q)
-        taus_.push_back(std::max(est0_, tl.latest_free_time(q)));
-      std::sort(taus_.begin(), taus_.end(), total_less);
-      taus_.erase(std::unique(taus_.begin(), taus_.end()), taus_.end());
+      latest_free_instants(tl, in.est0, taus_);
       for (std::size_t i = 0; i < taus_.size(); ++i) {
         avail_.clear();
         for (ProcId q = 0; q < P_; ++q)
@@ -289,28 +375,15 @@ class HoleScan {
     }
     if (!(best_.finish < kInf))
       throw std::logic_error("locbs: no feasible slot found");
-
-    // Fold the shadow alternatives into the runner-up: the earliest-
-    // finishing one that is distinct from and no earlier than the winner (a
-    // shadow must never flip the margin negative).
-    for (const Candidate& s : shadows_) {
-      if (s.finish < best_.finish || !distinct(s, best_)) continue;
-      if (s.finish < second_.finish) second_ = s;
-      break;
-    }
     return best_;
   }
 
-  /// The distinct runner-up of the last run (finish = kInf when there is
-  /// none or nobody asked for one).
-  const Candidate& second() const { return second_; }
-
-  /// Fills \p s with the placement of \p c, the winner or runner-up of the
-  /// last run: timings, processors, realized G' in-edge weights,
+  /// Fills \p s with the placement of \p c, a candidate for the task of
+  /// the last run: timings, processors, realized G' in-edge weights,
   /// pseudo-edges, and the scan's telemetry.
   void realize(const Candidate& c, ReplayStep& s) {
-    s.task = t_;
-    s.np = need_;
+    s.task = in_->task;
+    s.np = in_->need;
     s.busy_from = c.busy_from;
     s.start = c.start;
     s.finish = c.finish;
@@ -323,13 +396,14 @@ class HoleScan {
     // that cross the network (Section III-B locality saving).
     s.edge_times.clear();
     s.local_bytes = s.remote_bytes = 0.0;
-    if (!comm_edges_.empty()) {
-      const std::vector<double>& durs = durs_for(c.procs, 3);
-      const std::vector<double>& rvol = durs_cache_[3].rvol;
-      for (std::size_t k = 0; k < comm_edges_.size(); ++k) {
-        s.edge_times.emplace_back(comm_edges_[k], durs[k]);
+    const std::vector<EdgeId>& comm_edges = in_->comm_edges;
+    if (!comm_edges.empty()) {
+      const std::vector<double>& durs = durs_for(c.procs, 2);
+      const std::vector<double>& rvol = durs_cache_[2].rvol;
+      for (std::size_t k = 0; k < comm_edges.size(); ++k) {
+        s.edge_times.emplace_back(comm_edges[k], durs[k]);
         s.remote_bytes += rvol[k];
-        s.local_bytes += g_.edge(comm_edges_[k]).volume_bytes - rvol[k];
+        s.local_bytes += g_.edge(comm_edges[k]).volume_bytes - rvol[k];
       }
     }
 
@@ -339,14 +413,14 @@ class HoleScan {
     // dependence; skip them.
     s.pseudo_preds.clear();
     if (c.resource_induced) {
-      for (EdgeId e : g_.in_edges(t_)) is_parent_[g_.edge(e).src] = 1;
+      for (EdgeId e : g_.in_edges(s.task)) is_parent_[g_.edge(e).src] = 1;
       for (TaskId ti = 0; ti < g_.num_tasks(); ++ti) {
-        if (ti == t_ || !chart_.done[ti] || is_parent_[ti]) continue;
+        if (ti == s.task || !chart_.done[ti] || is_parent_[ti]) continue;
         if (about(chart_.ft[ti], c.touch) &&
             chart_.res.schedule.at(ti).procs.intersection_count(s.pset) > 0)
           s.pseudo_preds.push_back(ti);
       }
-      for (EdgeId e : g_.in_edges(t_)) is_parent_[g_.edge(e).src] = 0;
+      for (EdgeId e : g_.in_edges(s.task)) is_parent_[g_.edge(e).src] = 0;
     }
 
     s.holes_probed = static_cast<std::uint32_t>(holes_probed_);
@@ -362,50 +436,11 @@ class HoleScan {
                        : 0.0;
   }
 
-  /// Emits the "locbs.decision" record of the committed step \p s, the one
-  /// record of a placement (obs/provenance.hpp documents the schema).
-  void emit(obs::EventSink& sink, const ReplayStep& s, const Candidate& c,
-            double prio, bool perturbed) {
-    obs::PlacementDecision d;
-    d.task = s.task;
-    d.np = s.np;
-    d.prio = prio;
-    d.est = est0_;
-    d.start = s.start;
-    d.finish = s.finish;
-    d.busy_from = s.busy_from;
-    d.backfill_branch = opt_.backfill;
-    d.locality_branch = opt_.locality;
-    d.comm_blind = opt_.comm_blind;
-    d.backfilled = s.backfilled;
-    d.pruned = s.pruned;
-    d.perturbed = perturbed;
-    d.holes_probed = s.holes_probed;
-    d.candidates_scored = cands_scored_;
-    // Margin over the distinct runner-up, measured before any perturbation:
-    // it describes the scan, not the commit.
-    d.margin = second_.finish < kInf ? second_.finish - best_.finish : -1.0;
-    d.local_bytes = s.local_bytes;
-    d.remote_bytes = s.remote_bytes;
-    obs::ProvCandidate win;
-    win.tau = c.touch;
-    win.subset = c.subset;
-    win.start = c.start;
-    win.finish = c.finish;
-    win.busy_from = c.busy_from;
-    win.remote_bytes = s.remote_bytes;
-    for (ProcId q : c.procs) win.locality_score += score_[q];
-    win.procs = c.procs;
-    d.winner = shortlist_.ensure(win);
-    d.shortlist = shortlist_.entries();
-    sink.emit(obs::decision_event(d));
-  }
-
  private:
   /// Earliest conceivable finish when acquiring processors at \p tau.
   double finish_lb(double tau) const {
-    return comm_.overlap() ? std::max(tau, arrive_lb_) + exec_
-                           : std::max(tau, est0_) + comm_lb_ + exec_;
+    return comm_.overlap() ? std::max(tau, arrive_lb_) + in_->exec
+                           : std::max(tau, in_->est0) + comm_lb_ + in_->exec;
   }
 
   struct DursCache {
@@ -416,88 +451,22 @@ class HoleScan {
 
   /// Redistribution durations of each comm edge onto \p procs. Candidate
   /// subsets repeat heavily across probe instants, so one keyed cache per
-  /// subset flavour (locality-first, horizon-first, shadow, commit)
-  /// removes most remote_fraction work.
+  /// subset flavour (locality-first, horizon-first, commit) removes most
+  /// remote_fraction work. A task without a data-carrying in-edge has no
+  /// durations, so it skips the cache.
   const std::vector<double>& durs_for(const std::vector<ProcId>& procs,
                                       int slot) {
+    static const std::vector<double> kNoDurs;
+    if (in_->comm_edges.empty()) return kNoDurs;
     DursCache& c = durs_cache_[slot];
     if (procs == c.procs) return c.durs;
     // Span at the cache-miss level only: a per-remote_fraction span would
     // dominate the hole scan it is meant to measure.
     LOCMPS_SPAN(obs_, "locbs.redist_durs");
     c.procs = procs;
-    c.durs.resize(comm_edges_.size());
-    c.rvol.resize(comm_edges_.size());
-    for (std::size_t k = 0; k < comm_edges_.size(); ++k) {
-      const Edge& ed = g_.edge(comm_edges_[k]);
-      const std::vector<ProcId>& src = chart_.placed[ed.src];
-      const double rv = opt_.locality
-                            ? ed.volume_bytes * remote_fraction(src, procs)
-                            : ed.volume_bytes;
-      c.rvol[k] = rv;
-      c.durs[k] = comm_.transfer_duration(rv, src.size(), need_);
-    }
+    redistribute(g_, chart_, comm_, opt_.locality, *in_, procs, c.rvol,
+                 c.durs);
     return c.durs;
-  }
-
-  /// Timing of a chosen processor subset: start / finish / busy-from.
-  void time_on(double tau, const std::vector<ProcId>& procs, int slot,
-               Candidate& c) {
-    c.procs = procs;
-    c.subset = slot;
-    if (opt_.comm_blind || comm_edges_.empty()) {
-      c.start = std::max(tau, est0_);
-      c.busy_from = c.start;
-      c.resource_induced = later_than(tau, est0_);
-      c.touch = c.start;
-      c.finish = c.start + exec_;
-      return;
-    }
-    const std::vector<double>& durs = durs_for(procs, slot);
-    double arrive = est0_;  // latest input arrival (overlap mode)
-    double comm_total = 0.0;
-    for (std::size_t k = 0; k < comm_edges_.size(); ++k) {
-      comm_total += durs[k];
-      const TaskId src = g_.edge(comm_edges_[k]).src;
-      arrive = std::max(arrive, chart_.ft[src] + durs[k]);
-    }
-    if (comm_.overlap()) {
-      c.start = std::max(tau, arrive);
-      c.busy_from = c.start;
-      c.resource_induced = later_than(tau, arrive);
-      c.touch = c.start;
-    } else {
-      // Transfers occupy the destination processors and serialize.
-      const double base = std::max(tau, est0_);
-      c.start = base + comm_total;
-      c.busy_from = base;
-      c.resource_induced = later_than(tau, est0_);
-      c.touch = base;
-    }
-    c.finish = c.start + exec_;
-  }
-
-  /// Counts a feasible candidate and, when tracing, offers it to the
-  /// shortlist.
-  void record(const Candidate& c, double tau) {
-    ++cands_scored_;
-    if (!want_prov_) return;
-    obs::ProvCandidate pc;
-    pc.tau = tau;
-    pc.subset = c.subset;
-    pc.start = c.start;
-    pc.finish = c.finish;
-    pc.busy_from = c.busy_from;
-    for (EdgeId e : comm_edges_) {
-      const Edge& ed = g_.edge(e);
-      const std::vector<ProcId>& src = chart_.placed[ed.src];
-      pc.remote_bytes += opt_.locality
-                             ? ed.volume_bytes * remote_fraction(src, c.procs)
-                             : ed.volume_bytes;
-    }
-    for (ProcId q : c.procs) pc.locality_score += score_[q];
-    pc.procs = c.procs;
-    shortlist_.offer(std::move(pc));
   }
 
   /// Probes instant \p tau: tries two subsets of the processors idle there —
@@ -506,87 +475,38 @@ class HoleScan {
   /// whichever yields the earliest feasible finish.
   void probe(double tau, const std::vector<Timeline::FreeProc>& avail) {
     ++holes_probed_;
-    std::fill(until_of_.begin(), until_of_.end(), -1.0);
-    eligible_.clear();
-    for (const auto& f : avail) {
-      // Masked-out (failed) processors take no new work.
-      if (fixed_ != nullptr && !fixed_->usable(f.proc)) continue;
-      // Necessary condition: the processor must stay free at least until
-      // tau + exec (the busy window can only end later than that).
-      if (f.until >= tau + exec_) {
-        until_of_[f.proc] = f.until;
-        eligible_.push_back(f.proc);
-      }
-    }
-    if (eligible_.size() < need_) return;
-    // The `need_` first eligible processors under `before`, ascending.
-    auto select = [&](auto before) {
+    filter_eligible(tau, *in_, avail, fixed_, until_of_, eligible_);
+    const std::size_t need = in_->need;
+    if (eligible_.size() < need) return;
+    const std::vector<double>& score = in_->score;
+    // Times the `need` first eligible processors under `before` and keeps
+    // them if they stay free until the finish and finish first.
+    auto consider = [&](int slot, auto before) {
       sel_.assign(eligible_.begin(), eligible_.end());
-      std::nth_element(sel_.begin(), sel_.begin() + need_ - 1, sel_.end(),
+      std::nth_element(sel_.begin(), sel_.begin() + need - 1, sel_.end(),
                        before);
-      sel_.resize(need_);
+      sel_.resize(need);
       std::sort(sel_.begin(), sel_.end());
-    };
-    auto feasible = [&](const Candidate& c) {
-      for (ProcId q : c.procs)
-        if (until_of_[q] < c.finish) return false;
-      return true;
-    };
-    auto consider = [&](int slot) {
-      time_on(tau, sel_, slot, cand_);
-      if (!feasible(cand_)) return;
-      if (want_second_) record(cand_, tau);
-      if (cand_.finish < best_.finish) {
-        if (want_second_ && best_.finish < kInf && distinct(best_, cand_))
-          std::swap(second_, best_);
-        std::swap(best_, cand_);
-      } else if (want_second_ && cand_.finish < second_.finish &&
-                 distinct(cand_, best_)) {
-        std::swap(second_, cand_);
-      }
+      cand_.procs = sel_;
+      cand_.subset = slot;
+      time_slot(g_, chart_, *in_, comm_.overlap(), tau, durs_for(sel_, slot),
+                cand_);
+      for (ProcId q : cand_.procs)
+        if (until_of_[q] < cand_.finish) return;
+      if (cand_.finish < best_.finish) std::swap(best_, cand_);
     };
     // Locality-first subset (ties broken towards longer idle windows).
-    select([&](ProcId a, ProcId b) {
-      if (score_[a] != score_[b]) return score_[a] > score_[b];
+    consider(0, [&](ProcId a, ProcId b) {
+      if (score[a] != score[b]) return score[a] > score[b];
       if (until_of_[a] != until_of_[b]) return until_of_[a] > until_of_[b];
       return a < b;
     });
-    consider(0);
     // Horizon-first subset (widest windows).
-    select([&](ProcId a, ProcId b) {
+    consider(1, [&](ProcId a, ProcId b) {
       if (until_of_[a] != until_of_[b]) return until_of_[a] > until_of_[b];
-      if (score_[a] != score_[b]) return score_[a] > score_[b];
+      if (score[a] != score[b]) return score[a] > score[b];
       return a < b;
     });
-    consider(1);
-    // Shadow subset (provenance / perturbation only): the anti-locality
-    // pick. It shows what the locality preference bought — and gives the
-    // runner-up fold a genuinely different processor set when both real
-    // subsets coincide (common once every eligible window is unbounded,
-    // where the two orderings collapse to the same tie-break). Never
-    // allowed to win: the committed schedule must be identical whether or
-    // not a sink or the perturb hook asked for it. Kept sorted ascending by
-    // finish, bounded.
-    if (want_second_ && eligible_.size() > need_) {
-      select([&](ProcId a, ProcId b) {
-        if (score_[a] != score_[b]) return score_[a] < score_[b];
-        if (until_of_[a] != until_of_[b]) return until_of_[a] > until_of_[b];
-        return a < b;
-      });
-      Candidate c;
-      time_on(tau, sel_, 2, c);
-      if (feasible(c)) {
-        record(c, tau);
-        constexpr std::size_t kMaxShadows = 8;
-        shadows_.insert(std::upper_bound(shadows_.begin(), shadows_.end(), c,
-                                         [](const Candidate& x,
-                                            const Candidate& y) {
-                                           return x.finish < y.finish;
-                                         }),
-                        std::move(c));
-        if (shadows_.size() > kMaxShadows) shadows_.pop_back();
-      }
-    }
   }
 
   // Inputs, fixed for the pass.
@@ -597,38 +517,194 @@ class HoleScan {
   const Chart& chart_;
   obs::ObsContext* const obs_;
   const std::size_t P_;
-  const bool want_prov_;
 
   // The task under scan.
-  TaskId t_ = kNoTask;
-  std::size_t need_ = 0;
-  double exec_ = 0.0;
-  bool want_second_ = false;
-  double est0_ = 0.0;               ///< ready time
-  double arrive_lb_ = 0.0;          ///< finish_lb() inputs
+  const TaskInputs* in_ = nullptr;
+  double arrive_lb_ = 0.0;  ///< finish_lb() inputs
   double comm_lb_ = 0.0;
-  std::vector<EdgeId> comm_edges_;  ///< in-edges that carry data
-  std::vector<double> score_;       ///< bytes of input resident per proc
 
   // Per-placement telemetry.
   std::size_t holes_probed_ = 0;
   bool pruned_ = false;
-  std::uint64_t cands_scored_ = 0;
   double evals_before_ = 0.0;
 
   // Candidate buffers reused across placements (their proc vectors keep
   // their capacity; the per-task reset is finish = kInf).
-  Candidate best_, second_, cand_;
-  std::vector<Candidate> shadows_;
-  obs::ShortlistRecorder shortlist_;
+  Candidate best_, cand_;
 
-  DursCache durs_cache_[4];
+  DursCache durs_cache_[3];
   std::vector<double> until_of_;
   std::vector<ProcId> eligible_, sel_;
   std::vector<Timeline::FreeProc> avail_;
   std::vector<double> taus_;
   Timeline::Sweep sweep_;
   std::vector<char> is_parent_;
+};
+
+/// Alg. 2 taken literally for one task against the current chart, with
+/// none of HoleScan's shortcuts: it probes the ready time and every later
+/// finish event (with backfill off, each processor's latest free time),
+/// asks the timeline itself which processors are free, sorts every subset
+/// on its full key, recomputes every duration, and prunes nothing. It also
+/// scores the anti-locality shadow subset, which shows what the locality
+/// preference bought; the shadow may be the runner-up, never the winner.
+///
+/// locbs() runs it beside the hole scan only when a sink or the perturb
+/// hook is attached. It checks the hole scan's winner, and it supplies
+/// the decision record's candidates and margin and the runner-up that
+/// the perturb hook commits.
+class ReferenceScan {
+ public:
+  ReferenceScan(const TaskGraph& g, const CommModel& comm,
+                const LocBSOptions& opt, const FixedPrefix* fixed,
+                const Chart& chart)
+      : g_(g),
+        comm_(comm.cluster()),  // a copy that counts no evaluations
+        opt_(opt),
+        fixed_(fixed),
+        chart_(chart),
+        until_of_(comm.cluster().processors) {}
+
+  /// Scores every candidate of the task whose inputs are \p in, in probe
+  /// order, then picks the winner and the runner-up.
+  void run(const TaskInputs& in) {
+    scored_.clear();
+    if (opt_.backfill) {
+      taus_.assign(1, in.est0);
+      for (double f : chart_.finish_events)
+        if (f > in.est0) taus_.push_back(f);
+    } else {
+      latest_free_instants(chart_.timeline, in.est0, taus_);
+    }
+    for (double tau : taus_) {
+      chart_.timeline.available_at(tau, avail_);
+      if (!opt_.backfill)  // only processors free from tau on
+        std::erase_if(avail_, [](const Timeline::FreeProc& f) {
+          return f.until < kForever;
+        });
+      probe(in, tau);
+    }
+
+    // The winner: the earliest finish of a real subset, first scored on
+    // ties. The runner-up: the earliest candidate distinct from it that
+    // does not finish before it, first scored on ties.
+    win_ = second_ = nullptr;
+    for (const Scored& x : scored_)
+      if (x.c.subset != 2 && (win_ == nullptr || x.c.finish < win_->finish))
+        win_ = &x.c;
+    if (win_ == nullptr) return;
+    for (const Scored& x : scored_)
+      if (!(x.c.finish < win_->finish) && distinct(x.c, *win_) &&
+          (second_ == nullptr || x.c.finish < second_->finish))
+        second_ = &x.c;
+  }
+
+  /// The winner and the runner-up of the last run (null when none).
+  const Candidate* winner() const { return win_; }
+  const Candidate* runner_up() const { return second_; }
+
+  /// Emits the "locbs.decision" record of the committed step \p s, which
+  /// placed candidate \p c: the one record of a placement
+  /// (obs/provenance.hpp documents the schema). Its probe count and prune
+  /// flag are the hole scan's; its candidates and margin are this scan's.
+  void emit(obs::EventSink& sink, const TaskInputs& in, const ReplayStep& s,
+            const Candidate& c, double prio, bool perturbed) const {
+    obs::PlacementDecision d;
+    d.task = s.task;
+    d.np = s.np;
+    d.prio = prio;
+    d.est = in.est0;
+    d.start = s.start;
+    d.finish = s.finish;
+    d.busy_from = s.busy_from;
+    d.backfill_branch = opt_.backfill;
+    d.locality_branch = opt_.locality;
+    d.comm_blind = opt_.comm_blind;
+    d.backfilled = s.backfilled;
+    d.pruned = s.pruned;
+    d.perturbed = perturbed;
+    d.holes_probed = s.holes_probed;
+    d.candidates_scored = scored_.size();
+    // Margin over the distinct runner-up, measured before any perturbation:
+    // it describes the scan, not the commit.
+    d.margin = second_ != nullptr ? second_->finish - win_->finish : -1.0;
+    d.local_bytes = s.local_bytes;
+    d.remote_bytes = s.remote_bytes;
+    obs::ShortlistRecorder shortlist;
+    for (const Scored& x : scored_)
+      shortlist.offer(prov(in, x.c, x.tau, x.remote_bytes));
+    d.winner = shortlist.ensure(prov(in, c, c.touch, s.remote_bytes));
+    d.shortlist = shortlist.entries();
+    sink.emit(obs::decision_event(d));
+  }
+
+ private:
+  /// A feasible candidate, the instant that produced it, and the bytes it
+  /// would pull over the network.
+  struct Scored {
+    Candidate c;
+    double tau = 0.0;
+    double remote_bytes = 0.0;
+  };
+
+  static obs::ProvCandidate prov(const TaskInputs& in, const Candidate& c,
+                                 double tau, double remote_bytes) {
+    obs::ProvCandidate pc;
+    pc.tau = tau;
+    pc.subset = c.subset;
+    pc.start = c.start;
+    pc.finish = c.finish;
+    pc.busy_from = c.busy_from;
+    pc.remote_bytes = remote_bytes;
+    for (ProcId q : c.procs) pc.locality_score += in.score[q];
+    pc.procs = c.procs;
+    return pc;
+  }
+
+  /// Scores the subsets of the processors eligible at \p tau.
+  void probe(const TaskInputs& in, double tau) {
+    filter_eligible(tau, in, avail_, fixed_, until_of_, eligible_);
+    if (eligible_.size() < in.need) return;
+    const std::vector<double>& score = in.score;
+    // The `need` first eligible processors in ascending `key` order.
+    auto take = [&](int subset, auto key) {
+      std::sort(eligible_.begin(), eligible_.end(),
+                [&](ProcId a, ProcId b) { return key(a) < key(b); });
+      Scored x;
+      x.tau = tau;
+      x.c.subset = subset;
+      const auto end = eligible_.begin() + static_cast<std::ptrdiff_t>(in.need);
+      x.c.procs.assign(eligible_.begin(), end);
+      std::sort(x.c.procs.begin(), x.c.procs.end());
+      redistribute(g_, chart_, comm_, opt_.locality, in, x.c.procs, rvol_,
+                   durs_);
+      time_slot(g_, chart_, in, comm_.overlap(), tau, durs_, x.c);
+      for (ProcId q : x.c.procs)
+        if (until_of_[q] < x.c.finish) return;
+      for (double v : rvol_) x.remote_bytes += v;
+      scored_.push_back(std::move(x));
+    };
+    // Locality-first: most resident input, then the longest idle window.
+    take(0, [&](ProcId q) { return std::tuple(-score[q], -until_of_[q], q); });
+    // Horizon-first: the longest idle window, then most resident input.
+    take(1, [&](ProcId q) { return std::tuple(-until_of_[q], -score[q], q); });
+    // Shadow: least resident input, then the longest idle window.
+    if (eligible_.size() > in.need)
+      take(2, [&](ProcId q) { return std::tuple(score[q], -until_of_[q], q); });
+  }
+
+  const TaskGraph& g_;
+  const CommModel comm_;
+  const LocBSOptions& opt_;
+  const FixedPrefix* const fixed_;
+  const Chart& chart_;
+
+  std::vector<Scored> scored_;
+  const Candidate* win_ = nullptr;  // into scored_
+  const Candidate* second_ = nullptr;
+  std::vector<double> taus_, until_of_, rvol_, durs_;
+  std::vector<ProcId> eligible_;
+  std::vector<Timeline::FreeProc> avail_;
 };
 
 }  // namespace
@@ -746,6 +822,12 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
   std::size_t replayed_tasks = 0;
 
   HoleScan scan(g, comm, opt, fixed, chart, obs);
+  // The reference scan checks every placement of a traced or perturbed
+  // pass, whose decision records and runner-up only it computes.
+  std::optional<ReferenceScan> ref;
+  if (obs::wants_events(obs) || opt.perturb_task != kNoTask)
+    ref.emplace(g, comm, opt, fixed, chart);
+  TaskInputs in;
   ReplayStep scratch;  // the from-scratch path reuses one step
   for (std::size_t scheduled = n_frozen; scheduled < n; ++scheduled) {
     // Highest-priority ready task; equal priorities go to the lower task
@@ -774,19 +856,25 @@ LocBSResult locbs(const TaskGraph& g, const Allocation& np,
     }
 
     LOCMPS_SPAN(obs, "locbs.place");
-    const Candidate& best = scan.run(tp, np[tp], ps.et[tp]);
-    // Seeded-divergence hook: adopt the runner-up for this one task so a
-    // controlled placement flip exists for rundiff attribution tests.
-    const bool perturbed =
-        tp == opt.perturb_task && scan.second().finish < kInf;
-    const Candidate& chosen = perturbed ? scan.second() : best;
+    in.load(g, opt, fixed, chart, tp, np[tp], ps.et[tp]);
+    const Candidate* chosen = &scan.run(in);
+    bool perturbed = false;
+    if (ref) {
+      ref->run(in);
+      if (ref->winner() == nullptr || !same_placement(*chosen, *ref->winner()))
+        throw std::logic_error("locbs: hole scan missed the reference winner");
+      // Seeded-divergence hook: adopt the runner-up for this one task so a
+      // controlled placement flip exists for rundiff attribution tests.
+      perturbed = tp == opt.perturb_task && ref->runner_up() != nullptr;
+      if (perturbed) chosen = ref->runner_up();
+    }
     LOCMPS_SPAN(obs, "locbs.commit");
     if (rec != nullptr && k == rec->size()) rec->emplace_back();
     ReplayStep& step = rec != nullptr ? (*rec)[k] : scratch;
-    scan.realize(chosen, step);
+    scan.realize(*chosen, step);
     commit(step);
     if (obs::wants_events(obs))
-      scan.emit(*obs->sink, step, chosen, prio[tp], perturbed);
+      ref->emit(*obs->sink, in, step, *chosen, prio[tp], perturbed);
   }
 
   // Stream bookkeeping: dirty vs replayed split of this evaluation, and

@@ -51,10 +51,11 @@ struct LocBSOptions {
 
   /// Seeded-divergence hook for differential attribution (obs/rundiff.hpp)
   /// and its tests: when set, this task adopts the distinct runner-up of
-  /// its candidate scan instead of the winner — one controlled placement
-  /// flip whose makespan effect `locmps-inspect --diff` must attribute
-  /// back to this decision. No-op when the scan produced no distinct
-  /// alternative. kNoTask (the default) disables the hook; LoC-MPS keeps
+  /// the reference scan (see locbs() below) instead of the winner — one
+  /// controlled placement flip whose makespan effect `locmps-inspect
+  /// --diff` must attribute back to this decision. No-op when the scan
+  /// found no distinct alternative. kNoTask (the default) disables the
+  /// hook; LoC-MPS keeps
   /// its refinement search unperturbed and applies the flip only in one
   /// extra final realization (schedulers/loc_mps.cpp).
   TaskId perturb_task = kNoTask;
@@ -112,6 +113,14 @@ struct FixedPrefix {
 /// (obs/provenance.hpp documents the schema). Null — the default —
 /// is a zero-cost fast path: all instrumentation hides behind
 /// per-placement branches.
+///
+/// An event sink or an armed perturb_task also runs a reference scan
+/// beside the hole scan at every placement the pass scans: Alg. 2 taken
+/// literally, over every probe instant, with none of the hole scan's
+/// shortcuts. It supplies the decision record's candidates and margin and
+/// the runner-up that perturb_task adopts, and it checks the hole scan:
+/// a different winner throws std::logic_error ("locbs: hole scan missed
+/// the reference winner"). The schedule does not depend on it.
 ///
 /// \p incr (optional) is the incremental-replanning context of the
 /// caller's evaluation stream (schedulers/incremental.hpp,

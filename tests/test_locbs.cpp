@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <exception>
+#include <optional>
+#include <string>
 #include <tuple>
 
+#include "obs/provenance.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 #include "workloads/synthetic.hpp"
@@ -268,6 +273,207 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool(),   // backfill
                        ::testing::Bool(),   // locality
                        ::testing::Bool())); // overlap
+
+// ---------------------------------------------------------------------------
+// The reference scan as LoCBS's oracle
+//
+// A traced pass runs Alg. 2 literally beside the hole scan — every probe
+// instant, availability straight from the timeline, fully sorted subsets,
+// recomputed durations, no prune — and throws when the hole scan's winner
+// differs (schedulers/locbs.cpp). So each traced pass below checks the
+// sweep cursor, the duration cache and the prune bound at every
+// placement. It must also equal the untraced pass bit for bit, and write
+// one decision per placed task whose winner entry is that placement.
+
+/// Processor counts drawn uniformly from [1, hi].
+Allocation random_allocation(const TaskGraph& g, std::size_t hi, Rng& rng) {
+  Allocation np(g.num_tasks());
+  for (auto& a : np)
+    a = static_cast<std::size_t>(rng.uniform_int(1, static_cast<int>(hi)));
+  return np;
+}
+
+/// Runs one pass untraced and traced, and checks the traced one as above.
+/// Comm-blind passes skip Schedule::validate: they ignore transfers by
+/// design, and iCASLB re-times them.
+void expect_reference_agrees(const TaskGraph& g, const Allocation& np,
+                             const CommModel& comm, const LocBSOptions& opt,
+                             const FixedPrefix* fixed,
+                             const std::string& what) {
+  const LocBSResult plain = locbs(g, np, comm, opt, fixed);
+  obs::EventBuffer buf;
+  obs::ObsContext obs{nullptr, &buf, nullptr};
+  std::optional<LocBSResult> traced;
+  try {
+    traced.emplace(locbs(g, np, comm, opt, fixed, &obs));
+  } catch (const std::exception& e) {
+    FAIL() << what << ": " << e.what();
+  }
+  if (!opt.comm_blind) EXPECT_EQ(plain.schedule.validate(g, comm), "") << what;
+  EXPECT_EQ(traced->makespan, plain.makespan) << what;
+
+  std::vector<int> decisions(g.num_tasks(), 0);
+  for (const obs::Event& ev : buf.events()) {
+    if (ev.name() != "locbs.decision") continue;
+    std::int64_t task = -1, winner = -1;
+    std::string cands;
+    for (const auto& [key, v] : ev.fields()) {
+      if (key == "task") task = std::get<std::int64_t>(v);
+      if (key == "winner") winner = std::get<std::int64_t>(v);
+      if (key == "cands") cands = std::get<std::string>(v);
+    }
+    ASSERT_GE(task, 0) << what;
+    ASSERT_LT(static_cast<std::size_t>(task), g.num_tasks()) << what;
+    ++decisions[static_cast<std::size_t>(task)];
+    const auto shortlist = obs::decode_candidates(cands);
+    ASSERT_GE(winner, 0) << what;
+    ASSERT_LT(static_cast<std::size_t>(winner), shortlist.size()) << what;
+    const obs::ProvCandidate& win = shortlist[static_cast<std::size_t>(winner)];
+    const Placement& pl = plain.schedule.at(static_cast<TaskId>(task));
+    EXPECT_EQ(win.procs, pl.procs.to_vector()) << what << " task " << task;
+    EXPECT_EQ(win.busy_from, pl.busy_from) << what << " task " << task;
+    EXPECT_EQ(win.start, pl.start) << what << " task " << task;
+    EXPECT_EQ(win.finish, pl.finish) << what << " task " << task;
+  }
+  for (TaskId t : g.task_ids()) {
+    const Placement& a = plain.schedule.at(t);
+    const Placement& b = traced->schedule.at(t);
+    EXPECT_EQ(a.busy_from, b.busy_from) << what << " task " << t;
+    EXPECT_EQ(a.start, b.start) << what << " task " << t;
+    EXPECT_EQ(a.finish, b.finish) << what << " task " << t;
+    EXPECT_TRUE(a.procs == b.procs) << what << " task " << t;
+    const bool frozen = fixed != nullptr && fixed->is_frozen(t);
+    EXPECT_EQ(decisions[t], frozen ? 0 : 1) << what << " task " << t;
+  }
+}
+
+/// One option row of the sweep.
+struct ReferenceRow {
+  LocBSOptions opt;
+  bool overlap = true;
+  bool fixed = false;  ///< replan around a frozen prefix
+};
+
+/// Seeded synthetic DAGs with |V| = 1..40 on P = 1, 4 and 16, each under
+/// a random allocation, through \p row.
+void sweep_reference(const ReferenceRow& row, std::uint64_t salt) {
+  for (const std::size_t P : {1, 4, 16}) {
+    const CommModel comm{Cluster(P, kFastEthernetBytesPerSec, row.overlap)};
+    for (std::size_t n = 1; n <= 40; ++n) {
+      const std::uint64_t seed = salt * 1000003 + P * 101 + n;
+      SyntheticParams sp;
+      sp.ccr = 1.0;
+      sp.max_procs = P;
+      sp.min_tasks = sp.max_tasks = n;
+      Rng rng(seed);
+      const TaskGraph g = make_synthetic_dag(sp, rng);
+      Allocation np = random_allocation(g, P, rng);
+      const std::string what = "P=" + std::to_string(P) +
+                               " |V|=" + std::to_string(n) +
+                               " seed=" + std::to_string(seed);
+      if (!row.fixed) {
+        expect_reference_agrees(g, np, comm, row.opt, nullptr, what);
+        continue;
+      }
+      // Replan at the median start of a first plan: the tasks that started
+      // earlier are frozen (a predecessor-closed prefix, since every
+      // predecessor starts first), the rest may not start earlier, and
+      // processor P-1 has failed.
+      const LocBSResult first = locbs(g, np, comm, row.opt);
+      std::vector<double> starts;
+      for (TaskId t : g.task_ids())
+        starts.push_back(first.schedule.at(t).start);
+      std::sort(starts.begin(), starts.end());
+      FixedPrefix fixed;
+      fixed.placements = &first.schedule;
+      fixed.not_before = starts[starts.size() / 2];
+      fixed.frozen.assign(n, 0);
+      for (TaskId t : g.task_ids())
+        fixed.frozen[t] = first.schedule.at(t).start < fixed.not_before;
+      ProcessorSet survivors = ProcessorSet::all(P);
+      if (P > 1) survivors.erase(static_cast<ProcId>(P - 1));
+      fixed.available = &survivors;
+      for (TaskId t : g.task_ids())
+        if (!fixed.frozen[t]) np[t] = std::min(np[t], survivors.count());
+      expect_reference_agrees(g, np, comm, row.opt, &fixed, what);
+    }
+  }
+}
+
+TEST(LocBSReference, DefaultOptions) { sweep_reference({}, 1); }
+
+TEST(LocBSReference, NoBackfill) {
+  ReferenceRow row;
+  row.opt.backfill = false;
+  sweep_reference(row, 2);
+}
+
+TEST(LocBSReference, NoLocality) {
+  ReferenceRow row;
+  row.opt.locality = false;
+  sweep_reference(row, 3);
+}
+
+TEST(LocBSReference, CommBlind) {
+  ReferenceRow row;
+  row.opt.comm_blind = true;
+  sweep_reference(row, 4);
+}
+
+TEST(LocBSReference, SlackFactor) {
+  ReferenceRow row;
+  row.opt.slack_factor = 1.25;
+  sweep_reference(row, 5);
+}
+
+TEST(LocBSReference, NoOverlap) {
+  ReferenceRow row;
+  row.overlap = false;
+  sweep_reference(row, 6);
+}
+
+TEST(LocBSReference, FixedPrefix) {
+  ReferenceRow row;
+  row.fixed = true;
+  sweep_reference(row, 7);
+}
+
+TEST(LocBSReference, DegenerateInputs) {
+  for (const std::size_t P : {1, 4, 16}) {
+    for (const bool overlap : {true, false}) {
+      const CommModel comm{Cluster(P, kFastEthernetBytesPerSec, overlap)};
+      const std::string on = "P=" + std::to_string(P) +
+                             (overlap ? " overlap" : " no overlap");
+      Rng rng(P * 7 + (overlap ? 1 : 0));
+      SyntheticParams sp;
+      sp.max_procs = P;
+      sp.min_tasks = 1;
+      sp.max_tasks = 1;
+      const TaskGraph one = make_synthetic_dag(sp, rng);
+      expect_reference_agrees(one, {P}, comm, {}, nullptr, on + " |V|=1");
+      const TaskGraph chain = test::chain(12, 3.0, P, 4e6);
+      expect_reference_agrees(chain, random_allocation(chain, P, rng), comm,
+                              {}, nullptr, on + " chain");
+      sp.ccr = 0.0;  // every edge carries zero bytes
+      sp.min_tasks = 20;
+      sp.max_tasks = 30;
+      const TaskGraph dry = make_synthetic_dag(sp, rng);
+      expect_reference_agrees(dry, random_allocation(dry, P, rng), comm, {},
+                              nullptr, on + " zero volumes");
+      sp.ccr = 1.0;
+      const TaskGraph g = make_synthetic_dag(sp, rng);
+      for (const bool backfill : {true, false}) {
+        LocBSOptions opt;
+        opt.backfill = backfill;
+        const std::string b = backfill ? "" : " no backfill";
+        expect_reference_agrees(g, Allocation(g.num_tasks(), 1), comm, opt,
+                                nullptr, on + b + " np=1");
+        expect_reference_agrees(g, Allocation(g.num_tasks(), P), comm, opt,
+                                nullptr, on + b + " np=P");
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace locmps
