@@ -415,11 +415,11 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
 
   // Final authoritative realization: the only pass that sees the sink and
   // the perturb hook. It re-realizes the committed allocation from scratch
-  // (a decision record needs the scan's shortlist and runner-up, which a
-  // replayed step does not keep), so the trace's one "locbs.decision"
-  // record per task describes exactly the returned schedule — rundiff and
-  // `--explain` read those. An armed perturb_task takes effect here and
-  // nowhere else.
+  // (a decision record needs the reference scan's shortlist and
+  // runner-up, and a replayed step runs no scan), so the trace's one
+  // "locbs.decision" record per task describes exactly the returned
+  // schedule — rundiff and `--explain` read those. An armed perturb_task
+  // takes effect here and nowhere else.
   if (perturb != kNoTask || obs::wants_events(obs)) {
     best_run = locbs(g, best_alloc, comm, opt_.locbs, fixed, obs);
     best_sl = best_run.makespan;
