@@ -19,13 +19,21 @@ bool about(double a, double b) {
   return std::fabs(a - b) <= 1e-9 * std::max({1.0, std::fabs(a), std::fabs(b)});
 }
 
-DivergenceKind classify(const TaskRun& a, const TaskRun& b) {
-  if (!a.placed || !b.placed) {
-    if (a.placed == b.placed) return DivergenceKind::kIdentical;
+/// The processors a decision committed: its shortlist winner's (none
+/// when the task was not placed).
+const std::vector<ProcId>& procs_of(const PlacementDecision& d) {
+  static const std::vector<ProcId> kNone;
+  return d.valid() ? d.shortlist[d.winner].procs : kNone;
+}
+
+DivergenceKind classify(const PlacementDecision& a,
+                        const PlacementDecision& b) {
+  if (!a.valid() || !b.valid()) {
+    if (a.valid() == b.valid()) return DivergenceKind::kIdentical;
     return DivergenceKind::kWidth;  // structural: placed in one run only
   }
   if (a.np != b.np) return DivergenceKind::kWidth;
-  if (a.procs != b.procs) return DivergenceKind::kPlacement;
+  if (procs_of(a) != procs_of(b)) return DivergenceKind::kPlacement;
   if (!about(a.start, b.start) || !about(a.busy_from, b.busy_from))
     return DivergenceKind::kStartShift;
   if (!about(a.remote_bytes, b.remote_bytes)) return DivergenceKind::kRedist;
@@ -56,11 +64,9 @@ void put_str(std::ostream& os, const std::string& s) {
 std::vector<std::vector<TaskId>> previous_occupants(const RunView& v) {
   // Processor -> (busy_from, task), then sort each lane by acquire time.
   std::map<ProcId, std::vector<std::pair<double, TaskId>>> lanes;
-  for (TaskId t = 0; t < v.tasks.size(); ++t) {
-    const TaskRun& tr = v.tasks[t];
-    if (!tr.placed) continue;
-    for (ProcId q : tr.procs) lanes[q].emplace_back(tr.busy_from, t);
-  }
+  for (TaskId t = 0; t < v.tasks.size(); ++t)
+    for (ProcId q : procs_of(v.tasks[t]))
+      lanes[q].emplace_back(v.tasks[t].busy_from, t);
   std::vector<std::vector<TaskId>> prev(v.tasks.size());
   for (auto& [q, lane] : lanes) {
     std::sort(lane.begin(), lane.end());
@@ -91,22 +97,9 @@ const char* kind_name(DivergenceKind k) {
 RunView run_view(const std::vector<TraceRecord>& records,
                  std::size_t num_tasks) {
   RunView v;
-  v.tasks.resize(num_tasks);
-  std::vector<PlacementDecision> last = final_decisions(records, num_tasks);
-  for (TaskId t = 0; t < num_tasks; ++t) {
-    PlacementDecision& d = last[t];
-    if (!d.valid()) continue;
-    TaskRun& tr = v.tasks[t];
-    tr.placed = true;
-    tr.np = d.np;
-    tr.busy_from = d.busy_from;
-    tr.start = d.start;
-    tr.finish = d.finish;
-    tr.remote_bytes = d.remote_bytes;
-    tr.procs = d.shortlist[d.winner].procs;
-    tr.decision = std::move(d);
-    v.makespan = std::max(v.makespan, tr.finish);
-  }
+  v.tasks = final_decisions(records, num_tasks);
+  for (const PlacementDecision& d : v.tasks)
+    if (d.valid()) v.makespan = std::max(v.makespan, d.finish);
   return v;
 }
 
@@ -195,7 +188,7 @@ RunDiff diff_runs(const TaskGraph& g, const RunView& a, const RunView& b) {
     auto makespan_task = [n](const RunView& v) {
       TaskId best = kNoTask;
       for (TaskId t = 0; t < n; ++t)
-        if (v.tasks[t].placed &&
+        if (v.tasks[t].valid() &&
             (best == kNoTask || v.tasks[t].finish > v.tasks[best].finish))
           best = t;
       return best;
@@ -303,8 +296,8 @@ void print_diff(std::ostream& os, const TaskGraph& g, const RunView& a,
         os << (j == 0 ? " " : " <- ") << at.chain[j];
     }
     os << "\n";
-    os << "     A: " << decision_brief(a.tasks[at.task].decision) << "\n";
-    os << "     B: " << decision_brief(b.tasks[at.task].decision) << "\n";
+    os << "     A: " << decision_brief(a.tasks[at.task]) << "\n";
+    os << "     B: " << decision_brief(b.tasks[at.task]) << "\n";
   }
   os << "attributed fraction: " << fmt(100.0 * d.attributed_fraction, 1)
      << "%\n";
@@ -312,20 +305,20 @@ void print_diff(std::ostream& os, const TaskGraph& g, const RunView& a,
 
 namespace {
 
-void write_task_side(std::ostream& os, const TaskRun& tr) {
-  os << "{\"np\":" << tr.np << ",\"procs\":";
-  put_str(os, procs_csv(tr.procs));
+void write_task_side(std::ostream& os, const PlacementDecision& d) {
+  os << "{\"np\":" << d.np << ",\"procs\":";
+  put_str(os, procs_csv(procs_of(d)));
   os << ",\"start\":";
-  put_num(os, tr.start);
+  put_num(os, d.start);
   os << ",\"finish\":";
-  put_num(os, tr.finish);
+  put_num(os, d.finish);
   os << ",\"remote_bytes\":";
-  put_num(os, tr.remote_bytes);
-  if (tr.decision.valid()) {
+  put_num(os, d.remote_bytes);
+  if (d.valid()) {
     os << ",\"margin\":";
-    put_num(os, tr.decision.margin);
-    os << ",\"perturbed\":" << (tr.decision.perturbed ? "true" : "false")
-       << ",\"backfilled\":" << (tr.decision.backfilled ? "true" : "false");
+    put_num(os, d.margin);
+    os << ",\"perturbed\":" << (d.perturbed ? "true" : "false")
+       << ",\"backfilled\":" << (d.backfilled ? "true" : "false");
   }
   os << "}";
 }

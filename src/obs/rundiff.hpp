@@ -32,22 +32,11 @@
 
 namespace locmps::obs {
 
-/// One task's final realized placement in one run, read from the last
-/// "locbs.decision" record it received (procs: the shortlist winner's).
-struct TaskRun {
-  bool placed = false;
-  std::size_t np = 0;
-  double busy_from = 0.0;
-  double start = 0.0;
-  double finish = 0.0;
-  double remote_bytes = 0.0;
-  std::vector<ProcId> procs;      ///< ascending
-  PlacementDecision decision;     ///< invalid when the task was not placed
-};
-
-/// The per-task view of one run's trace.
+/// The per-task view of one run's trace: each task's final realized
+/// placement, the last "locbs.decision" record it received (invalid when
+/// the task was not placed; its processors are the shortlist winner's).
 struct RunView {
-  std::vector<TaskRun> tasks;
+  std::vector<PlacementDecision> tasks;
   double makespan = 0.0;  ///< max finish over placed tasks
 };
 

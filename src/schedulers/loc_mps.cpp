@@ -16,18 +16,13 @@ namespace locmps {
 
 namespace {
 
-/// The look-ahead entry point: the task or edge whose widening started the
-/// current search (Alg. 1 steps 16-17 / 28-29).
-struct EntryPoint {
+/// One refinement (Alg. 1 steps 8-14 / 19-29): the critical-path diagnosis
+/// that chose it and the task or edge it widened. A round's first
+/// refinement is its look-ahead entry point (Alg. 1 steps 16-17 / 28-29).
+struct Refinement {
   bool is_task = true;
   TaskId task = kNoTask;
   EdgeId edge = kNoEdge;
-};
-
-/// One refinement (Alg. 1 steps 8-14 / 19-29): the critical-path diagnosis
-/// that chose it and the task or edge it widened.
-struct Refinement {
-  EntryPoint ep;
   bool widened_src = false;
   bool widened_dst = false;
   double cp_len = 0.0;
@@ -224,14 +219,15 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
         const TaskId t = pick_task(cp, np, respect_marks);
         if (t != kNoTask) {
           np[t] += 1;
-          rf.ep = EntryPoint{true, t, kNoEdge};
+          rf.task = t;
           return rf;
         }
       } else if (comm_aware) {
         const EdgeId e = pick_edge(cp, dag, np, respect_marks);
         if (e != kNoEdge) {
           std::tie(rf.widened_src, rf.widened_dst) = widen_edge(e, np);
-          rf.ep = EntryPoint{false, kNoTask, e};
+          rf.is_task = false;
+          rf.edge = e;
           return rf;
         }
       }
@@ -248,10 +244,6 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
     LOCMPS_SPAN(obs, "locmps.walk");
     WalkResult r;
     r.sl = best_sl;
-    if (obs::wants_events(obs))
-      obs->sink->emit(obs::Event("locmps.lookahead_begin")
-                          .with("round", static_cast<std::uint64_t>(round_no))
-                          .with("best", best_sl));
     std::optional<LocBSResult> last;   // the latest evaluation, unless adopted
     const LocBSResult* cur = nullptr;  // the latest evaluation
     Refinement rf = first;
@@ -267,9 +259,8 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
         if (!next) break;
         rf = *next;
       }
-      const EntryPoint& ep = rf.ep;
       if (met != nullptr)
-        met->add(ep.is_task ? "locmps.widened_tasks"
+        met->add(rf.is_task ? "locmps.widened_tasks"
                             : "locmps.widened_edges");
 
       LocBSResult res = eval_locbs(np);
@@ -288,8 +279,8 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
         // locmps.lookahead_begin these replay into the final allocation
         // (tests/test_obs_events.cpp reconstructs it).
         auto with_widening = [&](obs::Event&& ev) -> obs::Event&& {
-          if (ep.is_task) {
-            const TaskId t = ep.task;
+          if (rf.is_task) {
+            const TaskId t = rf.task;
             return std::move(ev)
                 .with("kind", "task")
                 .with("task", t)
@@ -298,10 +289,10 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
                                   g.task(t).profile.time(np[t]))
                 .with("conc_ratio", conc.ratio(t));
           }
-          const Edge& ed = g.edge(ep.edge);
+          const Edge& ed = g.edge(rf.edge);
           return std::move(ev)
               .with("kind", "edge")
-              .with("edge", ep.edge)
+              .with("edge", rf.edge)
               .with("src", ed.src)
               .with("dst", ed.dst)
               .with("src_np_new", static_cast<std::uint64_t>(np[ed.src]))
@@ -330,7 +321,7 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   // Commit-or-mark for one completed look-ahead round (Alg. 1 steps
   // 31-38): updates the incumbent and the marks, bumps the round counters,
   // and emits the round's locmps.lookahead event.
-  auto finish_round = [&](std::size_t round_no, const EntryPoint& entry,
+  auto finish_round = [&](std::size_t round_no, const Refinement& entry,
                           double old_sl, WalkResult&& w) {
     const bool improved = w.run.has_value();
     if (obs::log_enabled(obs::LogLevel::kDebug))
@@ -379,30 +370,28 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   // round reads its G' without another LoCBS pass.
   std::size_t round = 0;
   while (calls < opt_.max_locbs_calls) {
+    ++round;
+    if (obs::wants_events(obs))
+      obs->sink->emit(obs::Event("locmps.lookahead_begin")
+                          .with("round", static_cast<std::uint64_t>(round))
+                          .with("best", best_sl));
     CriticalPathInfo cp;
     {
       LOCMPS_SPAN(obs, "locmps.critical_path");
       cp = best_run.dag.critical_path();
     }
-    ++round;
     Allocation np = best_alloc;
     const std::optional<Refinement> first =
         refine(cp, best_run.dag, np, /*respect_marks=*/true);
-    if (!first) {
-      // Termination (Alg. 1 step 40): every critical-path task is
-      // saturated or marked, and so is every refinable path edge. The
-      // final round opens and immediately ends.
-      if (obs::wants_events(obs))
-        obs->sink->emit(obs::Event("locmps.lookahead_begin")
-                            .with("round", static_cast<std::uint64_t>(round))
-                            .with("best", best_sl));
-      break;
-    }
+    // Termination (Alg. 1 step 40): every critical-path task is saturated
+    // or marked, and so is every refinable path edge. The final round
+    // opens and immediately ends.
+    if (!first) break;
     const double old_sl = best_sl;
     WalkResult w =
         walk(round, std::move(np), *first, opt_.max_locbs_calls - calls);
     calls += w.used;
-    finish_round(round, first->ep, old_sl, std::move(w));
+    finish_round(round, *first, old_sl, std::move(w));
     // The round charges one call for the incumbent's realization, kept
     // from the walk rather than re-run: `iterations` and the call budget
     // count LoCBS passes plus rounds (loc_mps.hpp).

@@ -106,13 +106,13 @@ struct FixedPrefix {
 /// When \p fixed is given, its frozen tasks are copied into the result
 /// unchanged and only the remaining tasks are scheduled.
 ///
-/// \p obs (optional) receives per-placement decision telemetry: "locbs.*"
-/// counters (holes scanned, backfill hits, subset choices, local/remote
-/// redistribution bytes), a "locbs.pass" profiler span, and one
-/// "locbs.decision" event per placed task, the only record of a placement
-/// (obs/provenance.hpp documents the schema). Null — the default —
-/// is a zero-cost fast path: all instrumentation hides behind
-/// per-placement branches.
+/// \p obs (optional) receives the pass's telemetry: "locbs.*" counters
+/// (holes scanned, backfill hits, subset choices, local/remote
+/// redistribution bytes), folded once per pass over its step log, a
+/// "locbs.pass" profiler span, and one "locbs.decision" event per placed
+/// task, the only record of a placement (obs/provenance.hpp documents the
+/// schema). Null — the default — skips the fold and every span and
+/// record; the pass logs its steps either way.
 ///
 /// An event sink or an armed perturb_task also runs a reference scan
 /// beside the hole scan at every placement the pass scans: Alg. 2 taken
@@ -124,15 +124,16 @@ struct FixedPrefix {
 ///
 /// \p incr (optional) is the incremental-replanning context of the
 /// caller's evaluation stream (schedulers/incremental.hpp,
-/// docs/incremental.md): the pass replays the stream's previous pass
-/// while its picks provably match it, scans the remainder, and overwrites
-/// the record's tail with the scanned steps, so the record always holds
-/// the latest pass. A replayed and a scanned placement go through the
-/// same commit. The result — schedule, G', counters — is bit-identical to
-/// incr == nullptr (the from-scratch oracle path); only the
-/// digest-excluded `incr.*` counters reveal which path ran. Pass it
-/// without an event sink in \p obs: decision records need a scan of
-/// every placement.
+/// docs/incremental.md): the pass replays the step log of the stream's
+/// previous pass while its picks provably match it, scans the remainder,
+/// and overwrites the log's tail with the scanned steps, so the log always
+/// holds the latest pass. Without one, the pass logs into a pass-local
+/// context and scans every placement. A replayed and a scanned placement
+/// go through the same commit. The result — schedule, G', counters — is
+/// bit-identical to incr == nullptr (the from-scratch oracle path); only
+/// the digest-excluded `incr.*` counters, which a pass adds only when
+/// given a context, reveal which path ran. Pass it without an event sink
+/// in \p obs: decision records need a scan of every placement.
 LocBSResult locbs(const TaskGraph& g, const Allocation& np,
                   const CommModel& comm, const LocBSOptions& opt = {},
                   const FixedPrefix* fixed = nullptr,

@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <exception>
 #include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 
+#include "network/block_cyclic.hpp"
+#include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
+#include "schedulers/incremental.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 #include "workloads/synthetic.hpp"
@@ -284,6 +289,12 @@ INSTANTIATE_TEST_SUITE_P(
 // sweep cursor, the duration cache and the prune bound at every
 // placement. It must also equal the untraced pass bit for bit, and write
 // one decision per placed task whose winner entry is that placement.
+//
+// The commit is checked the same way: G' is rebuilt from each pass's
+// placements by Alg. 2 steps 17-18 taken literally, in commit order (the
+// order of the traced pass's decision records), and must equal the G'
+// the pass returned bit for bit, from scratch and through a replay
+// context.
 
 /// Processor counts drawn uniformly from [1, hi].
 Allocation random_allocation(const TaskGraph& g, std::size_t hi, Rng& rng) {
@@ -293,13 +304,85 @@ Allocation random_allocation(const TaskGraph& g, std::size_t hi, Rng& rng) {
   return np;
 }
 
-/// Runs one pass untraced and traced, and checks the traced one as above.
-/// Comm-blind passes skip Schedule::validate: they ignore transfers by
-/// design, and iCASLB re-times them.
+/// The scheduler's same-instant tests (schedulers/locbs.cpp).
+bool about(double a, double b) {
+  return std::fabs(a - b) <= 1e-9 * std::max({1.0, std::fabs(a), std::fabs(b)});
+}
+bool later_than(double a, double b) {
+  return a > b + 1e-9 * std::max({1.0, std::fabs(a), std::fabs(b)});
+}
+
+/// G' of the pass that placed \p s, rebuilt by Alg. 2 steps 17-18 taken
+/// literally: the frozen prefix enters the chart first, then each task of
+/// \p order gets its vertex weight, the weights of its data-carrying
+/// in-edges, and a pseudo-edge from every task already in the chart that
+/// finishes when it acquired its processors later than its data allowed
+/// and shares a processor with it.
+ScheduleDag literal_dag(const TaskGraph& g, const Allocation& np,
+                        const CommModel& comm, const LocBSOptions& opt,
+                        const FixedPrefix* fixed, const Schedule& s,
+                        const std::vector<TaskId>& order) {
+  ScheduleDag dag(g);
+  std::vector<char> in_chart(g.num_tasks(), 0);
+  for (TaskId t : g.task_ids())
+    if (fixed != nullptr && fixed->is_frozen(t)) {
+      dag.set_vertex_time(t, s.at(t).finish - s.at(t).start);
+      in_chart[t] = 1;
+    }
+  for (TaskId t : order) {
+    const Placement& pl = s.at(t);
+    dag.set_vertex_time(t, g.task(t).profile.time(np[t]) * opt.slack_factor);
+    double ready = fixed != nullptr ? fixed->not_before : 0.0;
+    for (EdgeId e : g.in_edges(t))
+      ready = std::max(ready, s.at(g.edge(e).src).finish);
+    double arrival = ready;  // latest input arrival
+    for (EdgeId e : g.in_edges(t)) {
+      const Edge& ed = g.edge(e);
+      if (opt.comm_blind || !(ed.volume_bytes > 0.0)) continue;
+      const std::vector<ProcId> src = s.at(ed.src).procs.to_vector();
+      const double bytes =
+          opt.locality
+              ? ed.volume_bytes * remote_fraction(src, pl.procs.to_vector())
+              : ed.volume_bytes;
+      const double w = comm.transfer_duration(bytes, src.size(), np[t]);
+      dag.set_edge_time(e, w);
+      arrival = std::max(arrival, s.at(ed.src).finish + w);
+    }
+    // Without overlap the transfers hold the processors from busy_from,
+    // so only a busy_from past the ready time is a wait for processors.
+    const bool waited = comm.overlap() ? later_than(pl.start, arrival)
+                                       : later_than(pl.busy_from, ready);
+    const double acquired = comm.overlap() ? pl.start : pl.busy_from;
+    if (waited)
+      for (TaskId u : g.task_ids())
+        if (in_chart[u] && about(s.at(u).finish, acquired) &&
+            s.at(u).procs.intersection_count(pl.procs) > 0)
+          dag.add_pseudo_edge(u, t);
+    in_chart[t] = 1;
+  }
+  return dag;
+}
+
+/// Compares \p got, the G' of a pass, with the literal rebuild \p want bit
+/// for bit.
+void expect_same_dag(const TaskGraph& g, const ScheduleDag& want,
+                     const ScheduleDag& got, const std::string& what) {
+  for (TaskId t : g.task_ids())
+    EXPECT_EQ(got.vertex_time(t), want.vertex_time(t)) << what << " task " << t;
+  for (EdgeId e = 0; e < g.num_edges(); ++e)
+    EXPECT_EQ(got.edge_time(e), want.edge_time(e)) << what << " edge " << e;
+  EXPECT_EQ(got.pseudo_edges(), want.pseudo_edges()) << what;
+}
+
+/// Runs one pass untraced and traced, and checks both as above; \p order
+/// (optional) receives the traced pass's commit order. Comm-blind passes
+/// skip Schedule::validate: they ignore transfers by design, and iCASLB
+/// re-times them.
 void expect_reference_agrees(const TaskGraph& g, const Allocation& np,
                              const CommModel& comm, const LocBSOptions& opt,
-                             const FixedPrefix* fixed,
-                             const std::string& what) {
+                             const FixedPrefix* fixed, const std::string& what,
+                             std::vector<TaskId>* order = nullptr) {
+  std::vector<TaskId> committed;
   const LocBSResult plain = locbs(g, np, comm, opt, fixed);
   obs::EventBuffer buf;
   obs::ObsContext obs{nullptr, &buf, nullptr};
@@ -325,6 +408,7 @@ void expect_reference_agrees(const TaskGraph& g, const Allocation& np,
     ASSERT_GE(task, 0) << what;
     ASSERT_LT(static_cast<std::size_t>(task), g.num_tasks()) << what;
     ++decisions[static_cast<std::size_t>(task)];
+    committed.push_back(static_cast<TaskId>(task));
     const auto shortlist = obs::decode_candidates(cands);
     ASSERT_GE(winner, 0) << what;
     ASSERT_LT(static_cast<std::size_t>(winner), shortlist.size()) << what;
@@ -344,6 +428,42 @@ void expect_reference_agrees(const TaskGraph& g, const Allocation& np,
     EXPECT_TRUE(a.procs == b.procs) << what << " task " << t;
     const bool frozen = fixed != nullptr && fixed->is_frozen(t);
     EXPECT_EQ(decisions[t], frozen ? 0 : 1) << what << " task " << t;
+  }
+  const ScheduleDag want =
+      literal_dag(g, np, comm, opt, fixed, plain.schedule, committed);
+  expect_same_dag(g, want, plain.dag, what);
+  expect_same_dag(g, want, traced->dag, what + " traced");
+  if (order != nullptr) *order = std::move(committed);
+}
+
+/// Checks \p np and a variant with one unfrozen task's processor count
+/// changed, each from scratch as above and then through one
+/// IncrementalContext in the order np, variant, np, so the stream scans
+/// and replays: each streamed G' must equal its literal rebuild.
+void expect_passes_agree(const TaskGraph& g, const Allocation& np,
+                         const CommModel& comm, const LocBSOptions& opt,
+                         const FixedPrefix* fixed, const std::string& what) {
+  const std::size_t usable = fixed != nullptr && fixed->available != nullptr
+                                 ? fixed->available->count()
+                                 : comm.cluster().processors;
+  Allocation variant = np;
+  for (TaskId t = g.num_tasks(); t-- > 0;)
+    if (fixed == nullptr || !fixed->is_frozen(t)) {
+      variant[t] = np[t] % usable + 1;
+      break;
+    }
+  std::vector<TaskId> order, variant_order;
+  expect_reference_agrees(g, np, comm, opt, fixed, what, &order);
+  expect_reference_agrees(g, variant, comm, opt, fixed, what + " variant",
+                          &variant_order);
+  IncrementalContext stream;
+  for (const bool base : {true, false, true}) {
+    const Allocation& a = base ? np : variant;
+    const LocBSResult r = locbs(g, a, comm, opt, fixed, nullptr, &stream);
+    expect_same_dag(g,
+                    literal_dag(g, a, comm, opt, fixed, r.schedule,
+                                base ? order : variant_order),
+                    r.dag, what + (base ? " streamed" : " streamed variant"));
   }
 }
 
@@ -372,7 +492,7 @@ void sweep_reference(const ReferenceRow& row, std::uint64_t salt) {
                                " |V|=" + std::to_string(n) +
                                " seed=" + std::to_string(seed);
       if (!row.fixed) {
-        expect_reference_agrees(g, np, comm, row.opt, nullptr, what);
+        expect_passes_agree(g, np, comm, row.opt, nullptr, what);
         continue;
       }
       // Replan at the median start of a first plan: the tasks that started
@@ -395,7 +515,7 @@ void sweep_reference(const ReferenceRow& row, std::uint64_t salt) {
       fixed.available = &survivors;
       for (TaskId t : g.task_ids())
         if (!fixed.frozen[t]) np[t] = std::min(np[t], survivors.count());
-      expect_reference_agrees(g, np, comm, row.opt, &fixed, what);
+      expect_passes_agree(g, np, comm, row.opt, &fixed, what);
     }
   }
 }
@@ -454,6 +574,17 @@ TEST(LocBSReference, DegenerateInputs) {
       const TaskGraph chain = test::chain(12, 3.0, P, 4e6);
       expect_reference_agrees(chain, random_allocation(chain, P, rng), comm,
                               {}, nullptr, on + " chain");
+      // Tied finishes: P equal serial tasks end together, and a wider,
+      // later task waits for them; its pseudo-edges come from exactly the
+      // finishers on its processors, in task order.
+      TaskGraph tied;
+      for (std::size_t i = 0; i < P; ++i)
+        tied.add_task("a", test::serial(10.0, P));
+      tied.add_task("w", test::serial(5.0, P));
+      Allocation tied_np(P + 1, 1);
+      tied_np[P] = (P + 1) / 2;
+      expect_reference_agrees(tied, tied_np, comm, {}, nullptr,
+                              on + " tied finishes");
       sp.ccr = 0.0;  // every edge carries zero bytes
       sp.min_tasks = 20;
       sp.max_tasks = 30;
@@ -473,6 +604,49 @@ TEST(LocBSReference, DegenerateInputs) {
       }
     }
   }
+}
+
+// A perturbed pass that commits the reference scan's shadow runner-up
+// (subset 2) counts that placement as neither a locality-first nor a
+// horizon-first win.
+TEST(LocBSReference, ShadowCommitIsNeitherWin) {
+  const std::size_t P = 16;
+  const CommModel comm{Cluster(P)};
+  SyntheticParams sp;
+  sp.ccr = 0.5;
+  sp.max_procs = P;
+  Rng rng(42);
+  const TaskGraph g = make_synthetic_dag(sp, rng);
+  const Allocation np = random_allocation(g, P, rng);
+  bool found = false;
+  for (TaskId t = 0; t < g.num_tasks() && !found; ++t) {
+    LocBSOptions opt;
+    opt.perturb_task = t;
+    obs::MetricsRegistry met;
+    obs::EventBuffer buf;
+    obs::ObsContext obs{&met, &buf, nullptr};
+    (void)locbs(g, np, comm, opt, nullptr, &obs);
+    for (const obs::Event& ev : buf.events()) {
+      if (ev.name() != "locbs.decision") continue;
+      std::int64_t task = -1, winner = -1;
+      std::string cands;
+      for (const auto& [key, v] : ev.fields()) {
+        if (key == "task") task = std::get<std::int64_t>(v);
+        if (key == "winner") winner = std::get<std::int64_t>(v);
+        if (key == "cands") cands = std::get<std::string>(v);
+      }
+      if (task != static_cast<std::int64_t>(t)) continue;
+      const auto shortlist = obs::decode_candidates(cands);
+      found = shortlist.at(static_cast<std::size_t>(winner)).subset == 2;
+    }
+    if (!found) continue;
+    const obs::MetricsSnapshot c = met.snapshot();
+    EXPECT_EQ(c.counter("locbs.locality_subset_wins") +
+                  c.counter("locbs.horizon_subset_wins"),
+              c.counter("locbs.tasks_placed") - 1.0)
+        << "perturbed task " << t;
+  }
+  ASSERT_TRUE(found) << "no perturbed task committed a shadow";
 }
 
 }  // namespace
