@@ -1,6 +1,8 @@
 #include "graph/algorithms.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 namespace locmps {
 
@@ -71,12 +73,43 @@ std::vector<TaskId> concurrent_set(const TaskGraph& g, TaskId t) {
 }
 
 ConcurrencyAnalysis::ConcurrencyAnalysis(const TaskGraph& g) {
-  ratio_.assign(g.num_tasks(), 0.0);
-  for (TaskId t : g.task_ids()) {
-    double work = 0.0;
-    for (TaskId u : concurrent_set(g, t))
-      work += g.task(u).profile.serial_time();
-    ratio_[t] = work / g.task(t).profile.serial_time();
+  const std::size_t n = g.num_tasks();
+  ratio_.assign(n, 0.0);
+  if (n == 0) return;
+  const std::vector<TaskId> order = topological_order(g);
+  std::vector<double> serial(n);
+  for (TaskId u = 0; u < n; ++u) serial[u] = g.task(u).profile.serial_time();
+  // 64 tasks at a time: bit j of desc[u] (anc[u]) says that u is a
+  // descendant (an ancestor) of task base + j, itself included. One sweep
+  // in topological order and one against it propagate all 64 at once.
+  std::vector<std::uint64_t> desc(n), anc(n);
+  double work[64];
+  for (std::size_t base = 0; base < n; base += 64) {
+    const std::size_t width = std::min<std::size_t>(64, n - base);
+    auto self = [&](TaskId u) {
+      return u >= base && u < base + width ? std::uint64_t{1} << (u - base)
+                                           : std::uint64_t{0};
+    };
+    for (TaskId u : order) {
+      std::uint64_t m = self(u);
+      for (EdgeId e : g.in_edges(u)) m |= desc[g.edge(e).src];
+      desc[u] = m;
+    }
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      std::uint64_t m = self(*it);
+      for (EdgeId e : g.out_edges(*it)) m |= anc[g.edge(e).dst];
+      anc[*it] = m;
+    }
+    // Ascending u, the order of concurrent_set, so every sum adds the same
+    // terms in the same order as summing over concurrent_set(g, t).
+    const std::uint64_t chunk =
+        width == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+    std::fill(work, work + width, 0.0);
+    for (TaskId u = 0; u < n; ++u)
+      for (std::uint64_t m = chunk & ~(desc[u] | anc[u]); m != 0; m &= m - 1)
+        work[std::countr_zero(m)] += serial[u];
+    for (std::size_t j = 0; j < width; ++j)
+      ratio_[base + j] = work[j] / serial[base + j];
   }
 }
 

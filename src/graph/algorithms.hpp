@@ -24,7 +24,9 @@ std::vector<char> descendants(const TaskGraph& g, TaskId t);
 std::vector<char> ancestors(const TaskGraph& g, TaskId t);
 
 /// Maximal set of tasks that can run concurrently with \p t:
-/// cG(t) = V - descendants(t) - ancestors(t).
+/// cG(t) = V - descendants(t) - ancestors(t), ascending. Two searches per
+/// call; ConcurrencyAnalysis answers it for every task at once and is
+/// checked against it.
 std::vector<TaskId> concurrent_set(const TaskGraph& g, TaskId t);
 
 /// Precomputed concurrency ratios for every task.
@@ -34,7 +36,9 @@ std::vector<TaskId> concurrent_set(const TaskGraph& g, TaskId t);
 /// A low ratio means little work competes with t for processors, so widening
 /// t is unlikely to serialize other critical work (Section III-C). The
 /// analysis is purely structural, so it is computed once per graph and
-/// cached by the schedulers.
+/// cached by the schedulers. It propagates the reachability of 64 tasks at
+/// a time as bit masks, in O(|V|) words, and adds each sum in the order of
+/// concurrent_set, so every ratio equals the one summed over that set.
 class ConcurrencyAnalysis {
  public:
   explicit ConcurrencyAnalysis(const TaskGraph& g);

@@ -15,9 +15,12 @@
 /// mutation epoch, and a monotone Sweep cursor that answers the hole
 /// scan's ascending availability queries in amortized O(1) per processor
 /// instead of a binary search per probe instant (docs/incremental.md).
-/// Every query keeps the exact semantics of the original linear scan —
-/// the Timeline property-fuzz suite (tests/test_timeline.cpp) checks each
-/// against a naive reference implementation across hundreds of seeds.
+/// The same cursor answers the scan's one look-ahead query, first_fit:
+/// it walks each processor's idle windows forward from the cursor, so no
+/// index is kept up to date on occupy(). Every query keeps the exact
+/// semantics of the original linear scan — the Timeline property-fuzz
+/// suite (tests/test_timeline.cpp) checks each against a naive reference
+/// implementation across hundreds of seeds.
 
 #include <cstdint>
 #include <limits>
@@ -90,7 +93,55 @@ class Timeline {
     /// Same result as tl.available_at(t, out).
     void available_at(double t, std::vector<FreeProc>& out);
 
+    /// The earliest instant t in [from, limit) at which some processor q
+    /// is idle and fits: finish(q, t) < bound, and finish(q, t) is no later
+    /// than the start of q's next booking. \p limit when none fits.
+    ///
+    /// \p finish(q, t) must be non-decreasing in t. Then the first instant
+    /// of an idle window (\p from, or the end of a booking after it)
+    /// decides the whole window, and once finish(q, t) reaches \p bound no
+    /// later window of q fits. So the query tries only those instants,
+    /// walking each processor's bookings forward from the cursor, and
+    /// stops walking a processor past the earliest fit found so far.
+    /// Moves the cursor to \p from, as available_at(from) would.
+    template <typename Finish>
+    double first_fit(double from, double limit, double bound,
+                     Finish&& finish) {
+      resync(from);
+      double best = limit;
+      for (ProcId q = 0; q < idx_.size(); ++q) {
+        const std::vector<Interval>& v = tl_->busy_[q];
+        double a = from;  // first instant of the window before booking i
+        for (std::size_t i = advance(q, from);; ++i) {
+          if (!(a < best)) break;
+          const double b = i < v.size() ? v[i].start : kForever;
+          if (a < b) {
+            const double f = finish(q, a);
+            if (!(f < bound)) break;
+            if (f <= b) {
+              best = a;
+              break;
+            }
+          }
+          if (i == v.size()) break;
+          a = v[i].end;
+        }
+      }
+      return best;
+    }
+
    private:
+    /// Re-seeks every cursor when the timeline changed or \p t precedes
+    /// the last query, and records \p t as the last query.
+    void resync(double t);
+    /// Advances q's cursor to its first booking ending after \p t.
+    std::uint32_t advance(ProcId q, double t) {
+      const std::vector<Interval>& v = tl_->busy_[q];
+      std::uint32_t i = idx_[q];
+      while (i < v.size() && v[i].end <= t) ++i;
+      return idx_[q] = i;
+    }
+
     const Timeline* tl_;
     std::uint64_t epoch_ = ~0ull;  // forces the first call to seek
     double last_t_ = -kForever;

@@ -3,8 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "test_util.hpp"
+#include "util/rng.hpp"
+#include "workloads/strassen.hpp"
+#include "workloads/synthetic.hpp"
+#include "workloads/tce.hpp"
 
 namespace locmps {
 namespace {
@@ -77,6 +83,41 @@ TEST(Algorithms, ConcurrencyRatioPaperFig2) {
   EXPECT_DOUBLE_EQ(ca.ratio(t1), (9.0 + 7.0) / 10.0);
   EXPECT_DOUBLE_EQ(ca.ratio(t3), (10.0 + 7.0) / 9.0);
   EXPECT_DOUBLE_EQ(ca.ratio(t4), (10.0 + 9.0) / 7.0);
+}
+
+// The 64-task masks must give every ratio bit for bit as the sum over
+// concurrent_set: graphs around the 64-task chunk edges and the paper's
+// application graphs.
+TEST(Algorithms, ConcurrencyRatiosEqualConcurrentSetSums) {
+  std::vector<TaskGraph> graphs;
+  for (const std::size_t n : {1, 2, 63, 64, 65, 128, 130, 200})
+    for (const double ccr : {0.0, 0.5, 1.0}) {
+      SyntheticParams sp;
+      sp.min_tasks = sp.max_tasks = n;
+      sp.ccr = ccr;
+      Rng rng(n * 31 + static_cast<std::uint64_t>(ccr * 2));
+      graphs.push_back(make_synthetic_dag(sp, rng));
+    }
+  graphs.push_back(test::chain(70));
+  TCEParams tp;
+  tp.occupied = 8;
+  tp.virt = 32;
+  graphs.push_back(make_ccsd_t1(tp));
+  StrassenParams sp;
+  sp.n = 512;
+  graphs.push_back(make_strassen(sp));
+  for (const TaskGraph& g : graphs) {
+    const ConcurrencyAnalysis ca(g);
+    for (TaskId t : g.task_ids()) {
+      double work = 0.0;
+      for (TaskId u : concurrent_set(g, t))
+        work += g.task(u).profile.serial_time();
+      const double want = work / g.task(t).profile.serial_time();
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(ca.ratio(t)),
+                std::bit_cast<std::uint64_t>(want))
+          << "|V|=" << g.num_tasks() << " task " << t;
+    }
+  }
 }
 
 TEST(Algorithms, LevelsOfChain) {
