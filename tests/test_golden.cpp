@@ -8,7 +8,9 @@
 /// elsewhere compare two paths of the same code; this suite compares the
 /// code against numbers it produced before, so a refactor that moves every
 /// path the same way still fails here. A second table (GoldenScan) pins
-/// the hole scan's counters of metered runs the same way.
+/// the hole scan's counters of metered runs the same way, and a third
+/// (GoldenSearch) pins the LoC-MPS refinement search's trajectory: its
+/// locmps.* events and counters.
 ///
 /// The pins must never be regenerated to make a failure go away: a
 /// mismatch means schedules changed. On a mismatch the test prints the
@@ -20,8 +22,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 
 #include <gtest/gtest.h>
 
@@ -31,10 +37,12 @@
 #include "schedule/metrics.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
+#include "schedulers/loc_mps.hpp"
 #include "schedulers/locbs.hpp"
 #include "schedulers/registry.hpp"
 #include "util/rng.hpp"
 #include "workloads/strassen.hpp"
+#include "workloads/structured.hpp"
 #include "workloads/synthetic.hpp"
 #include "workloads/tce.hpp"
 
@@ -54,7 +62,10 @@ namespace {
 ///                        one where a committed busy_from < start);
 ///  * "faults"          — run_with_faults under a fail-stop script with
 ///                        repairs; the row pins the realized execution,
-///                        its makespan, and the replan count as iterations.
+///                        its makespan, and the replan count as iterations;
+///  * "marks_bind_lookahead=0" — LocMPSOptions::marks_bind_lookahead =
+///                        false (the paper's text; the registry does not
+///                        expose it, so the plan is built directly).
 struct GoldenRow {
   const char* workload;
   std::size_t procs;
@@ -144,6 +155,21 @@ Workload make_workload(const std::string& name, std::size_t procs) {
     tp.max_procs = procs;
     return {make_ccsd_t1(tp), Cluster(procs)};
   }
+  if (name == "fig06-ccr0" || name == "fig06-serial") {
+    // The fig06 draw with all-zero volumes, or with every profile
+    // tabulated for one processor only (pbest = 1 everywhere).
+    SyntheticParams p;
+    p.ccr = name == "fig06-ccr0" ? 0.0 : 0.5;
+    p.max_procs = name == "fig06-serial" ? 1 : 32;
+    Rng rng(20060901);
+    return {make_synthetic_dag(p, rng), Cluster(procs)};
+  }
+  if (name == "pipeline-64") {
+    StructuredParams sp;
+    sp.max_procs = procs;
+    Rng rng(64);
+    return {make_pipeline(64, sp, rng), Cluster(procs)};
+  }
   if (name.starts_with("synthetic-")) {  // synthetic-<|V|>
     SyntheticParams p;
     p.min_tasks = p.max_tasks = std::stoul(name.substr(10));
@@ -163,7 +189,7 @@ struct Outcome {
   std::size_t iterations = 0;
 };
 
-Outcome run_faults(const Workload& w) {
+RecoveryResult run_faults(const Workload& w, obs::ObsContext* ctx) {
   const std::size_t P = w.cluster.processors;
   const double base = 2.0 * std::max(critical_path_lower_bound(w.g, P),
                                      area_lower_bound(w.g, P));
@@ -173,11 +199,13 @@ Outcome run_faults(const Workload& w) {
   prm.repairs = true;
   prm.repair_delay_s = 0.5 * base;
   prm.seed = 7;
-  const RecoveryResult r = run_with_faults(
-      w.g, w.cluster, make_fault_plan(P, prm));
+  RecoveryOptions ro;
+  ro.obs = ctx;
+  RecoveryResult r = run_with_faults(w.g, w.cluster, make_fault_plan(P, prm),
+                                     ro);
   EXPECT_TRUE(r.completed) << r.error;
   EXPECT_GT(r.replans, 0u) << "the fault script must force a replan";
-  return {digest(r.executed), r.makespan, r.replans};
+  return r;
 }
 
 /// Plans \p w with \p scheme under the scheduler options of \p opt, with
@@ -189,6 +217,11 @@ SchedulerResult plan(const Workload& w, const std::string& scheme,
   if (opt == "plan_budget=8") so.plan_budget = 8;
   if (opt == "slack=1.25") so.slack_factor = 1.25;
   SchedulerPtr sched = make_scheduler(scheme, so);
+  if (opt == "marks_bind_lookahead=0") {
+    LocMPSOptions lo;
+    lo.marks_bind_lookahead = false;
+    sched = std::make_unique<LocMPSScheduler>(lo);
+  }
   if (ctx != nullptr) sched->attach_observability(ctx);
   SchedulerResult r = sched->schedule(w.g, w.cluster);
   EXPECT_TRUE(r.schedule.complete()) << scheme;
@@ -199,7 +232,10 @@ SchedulerResult plan(const Workload& w, const std::string& scheme,
 Outcome compute(const GoldenRow& row) {
   Workload w = make_workload(row.workload, row.procs);
   const std::string opt = row.options;
-  if (opt == "faults") return run_faults(w);
+  if (opt == "faults") {
+    const RecoveryResult r = run_faults(w, nullptr);
+    return {digest(r.executed), r.makespan, r.replans};
+  }
   if (opt == "no_overlap") w.cluster.overlap_comm_compute = false;
   obs::MetricsRegistry reg;
   obs::EventBuffer buf;
@@ -375,6 +411,160 @@ INSTANTIATE_TEST_SUITE_P(
     Telemetry, GoldenScan, ::testing::ValuesIn(kScan),
     [](const ::testing::TestParamInfo<ScanRow>& info) {
       const ScanRow& r = info.param;
+      return row_name({r.workload, r.procs, r.scheme, r.options, 0, 0, 0});
+    });
+
+// ---------------------------------------------------------------------------
+// The refinement search's trajectory
+//
+// Golden pins only where a search ends and GoldenScan only how LoCBS
+// scanned, so a restructure of the LoC-MPS loop that reorders or drops a
+// refinement, a round or a counter but keeps the plan passes both. These
+// rows plan with a registry and an event buffer attached and pin every
+// locmps.* event (name and fields in order, doubles by their bits), their
+// number, and the search's counters. The last five rows are degenerate
+// inputs: P = 1, |V| = 1, a 64-task chain, all-zero volumes (the edge
+// branch never fires) and pbest = 1 everywhere.
+
+/// One traced plan and its pinned trajectory (`options` as in GoldenRow).
+struct SearchRow {
+  const char* workload;
+  std::size_t procs;
+  const char* scheme;
+  const char* options;
+  std::uint64_t events_digest;
+  std::size_t events;
+  double rounds;
+  double commits;
+  double reverts;
+  double marked_tasks;
+  double marked_edges;
+  double widened_tasks;
+  double widened_edges;
+  double locbs_calls;
+};
+
+// clang-format off
+constexpr SearchRow kSearch[] = {
+    {"fig06", 16, "loc-mps", "", 0xcffea1d78277de9cull, 6185, 281, 37, 244, 235, 9, 5603, 17, 5903},
+    {"fig06", 16, "icaslb", "", 0x2f9da865b2607cb8ull, 2685, 123, 22, 101, 101, 0, 2436, 0, 2561},
+    {"ccsd-t1-8-32", 16, "loc-mps", "no_overlap", 0x4b437e2a1339fe70ull, 240, 11, 2, 9, 6, 3, 35, 180, 228},
+    {"strassen-512", 16, "loc-mps", "", 0xb1d4e2a8a7471cfdull, 355, 16, 8, 8, 6, 2, 104, 216, 338},
+    {"synthetic-1024", 64, "loc-mps", "plan_budget=8", 0x7d8d4c37d7099d89ull, 11, 1, 1, 0, 0, 0, 7, 0, 10},
+    {"fig06", 16, "loc-mps", "faults", 0x3951f8ddf03191c3ull, 10927, 496, 78, 418, 382, 36, 9869, 51, 401},
+    {"fig06", 16, "loc-mps", "marks_bind_lookahead=0", 0x1ce940e2c369abc0ull, 7571, 344, 43, 301, 293, 8, 6872, 8, 7226},
+    {"fig06", 1, "loc-mps", "", 0xc4fbf131a518aac9ull, 3, 0, 0, 0, 0, 0, 0, 0, 2},
+    {"synthetic-1", 16, "loc-mps", "", 0xdb937a5c6048a7e4ull, 20, 1, 1, 0, 0, 0, 15, 0, 18},
+    {"pipeline-64", 16, "loc-mps", "", 0x8f60fc574a14d1b8ull, 1069, 49, 49, 0, 0, 0, 915, 53, 1019},
+    {"fig06-ccr0", 16, "loc-mps", "", 0x84af0fe8f8a9c021ull, 2083, 95, 18, 77, 77, 0, 1890, 0, 1987},
+    {"fig06-serial", 16, "loc-mps", "", 0x5fe9fa8b2ed8c85cull, 311, 14, 5, 9, 0, 9, 0, 280, 296},
+};
+// clang-format on
+
+std::uint64_t fnv_bytes(std::uint64_t h, std::string_view s) {
+  h = fnv(h, s.size());
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Digest of one event: its name, then every field's key, kind and value
+/// in order (a double by its bits).
+std::uint64_t digest(std::uint64_t h, const obs::Event& e) {
+  h = fnv_bytes(h, e.name());
+  for (const auto& [key, value] : e.fields()) {
+    h = fnv_bytes(h, key);
+    h = fnv(h, value.index());
+    std::visit(
+        [&](const auto& v) {
+          using V = std::decay_t<decltype(v)>;
+          if constexpr (std::is_same_v<V, std::string>)
+            h = fnv_bytes(h, v);
+          else if constexpr (std::is_same_v<V, double>)
+            h = fnv(h, bits(v));
+          else
+            h = fnv(h, static_cast<std::uint64_t>(v));
+        },
+        value);
+  }
+  return h;
+}
+
+SearchRow compute_search(const SearchRow& row) {
+  Workload w = make_workload(row.workload, row.procs);
+  const std::string opt = row.options;
+  if (opt == "no_overlap") w.cluster.overlap_comm_compute = false;
+  obs::MetricsRegistry reg;
+  obs::EventBuffer buf;
+  obs::ObsContext ctx;
+  ctx.metrics = &reg;
+  ctx.sink = &buf;
+  if (opt == "faults")
+    run_faults(w, &ctx);
+  else
+    plan(w, row.scheme, opt, &ctx);
+  EXPECT_EQ(buf.dropped(), 0u) << "the buffer must hold the whole trace";
+  SearchRow got = row;
+  got.events_digest = 0xcbf29ce484222325ull;
+  got.events = 0;
+  for (const obs::Event& e : buf.events()) {
+    if (!e.name().starts_with("locmps.")) continue;
+    got.events_digest = digest(got.events_digest, e);
+    ++got.events;
+  }
+  const obs::MetricsSnapshot c = reg.snapshot();
+  got.rounds = c.counter("locmps.rounds");
+  got.commits = c.counter("locmps.commits");
+  got.reverts = c.counter("locmps.reverts");
+  got.marked_tasks = c.counter("locmps.marked_tasks");
+  got.marked_edges = c.counter("locmps.marked_edges");
+  got.widened_tasks = c.counter("locmps.widened_tasks");
+  got.widened_edges = c.counter("locmps.widened_edges");
+  got.locbs_calls = c.counter("locmps.locbs_calls");
+  return got;
+}
+
+std::string format_search_row(const SearchRow& row) {
+  char buf[320];
+  std::snprintf(buf, sizeof buf,
+                "    {\"%s\", %zu, \"%s\", \"%s\", 0x%016llxull, %zu, %.17g, "
+                "%.17g, %.17g, %.17g, %.17g, %.17g, %.17g, %.17g},",
+                row.workload, row.procs, row.scheme, row.options,
+                static_cast<unsigned long long>(row.events_digest), row.events,
+                row.rounds, row.commits, row.reverts, row.marked_tasks,
+                row.marked_edges, row.widened_tasks, row.widened_edges,
+                row.locbs_calls);
+  return buf;
+}
+
+void PrintTo(const SearchRow& row, std::ostream* os) {
+  *os << row_name({row.workload, row.procs, row.scheme, row.options, 0, 0, 0});
+}
+
+class GoldenSearch : public ::testing::TestWithParam<SearchRow> {};
+
+TEST_P(GoldenSearch, TrajectoryMatchesPin) {
+  const SearchRow& row = GetParam();
+  const SearchRow got = compute_search(row);
+  // Exact comparisons on purpose: the pins are bit-exact.
+  EXPECT_TRUE(got.events_digest == row.events_digest &&
+              got.events == row.events && got.rounds == row.rounds &&
+              got.commits == row.commits && got.reverts == row.reverts &&
+              got.marked_tasks == row.marked_tasks &&
+              got.marked_edges == row.marked_edges &&
+              got.widened_tasks == row.widened_tasks &&
+              got.widened_edges == row.widened_edges &&
+              got.locbs_calls == row.locbs_calls)
+      << "drift; recomputed row:\n"
+      << format_search_row(got);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Trajectory, GoldenSearch, ::testing::ValuesIn(kSearch),
+    [](const ::testing::TestParamInfo<SearchRow>& info) {
+      const SearchRow& r = info.param;
       return row_name({r.workload, r.procs, r.scheme, r.options, 0, 0, 0});
     });
 
