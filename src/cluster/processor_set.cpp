@@ -88,13 +88,6 @@ std::size_t ProcessorSet::intersection_count(const ProcessorSet& o) const {
   return n;
 }
 
-bool ProcessorSet::subset_of(const ProcessorSet& o) const {
-  assert(capacity_ == o.capacity_);
-  for (std::size_t i = 0; i < words_.size(); ++i)
-    if ((words_[i] & ~o.words_[i]) != 0) return false;
-  return true;
-}
-
 std::vector<ProcId> ProcessorSet::to_vector() const {
   std::vector<ProcId> v;
   v.reserve(count());

@@ -79,9 +79,6 @@ class ProcessorSet {
     return intersection_count(o) == 0;
   }
 
-  /// True if every member of *this is in o.
-  bool subset_of(const ProcessorSet& o) const;
-
   /// Members in ascending order.
   std::vector<ProcId> to_vector() const;
 

@@ -24,7 +24,6 @@
 #include "network/block_cyclic.hpp"
 #include "network/comm_model.hpp"
 #include "schedule/event_sim.hpp"
-#include "schedule/expand.hpp"
 #include "schedule/gantt.hpp"
 #include "schedule/metrics.hpp"
 #include "schedule/schedule.hpp"

@@ -90,14 +90,6 @@ double PerturbationPlan::slowdown(ProcId q, double t) const {
   return 1.0;
 }
 
-double PerturbationPlan::link_scale(double t) const {
-  for (const LinkDegradation& w : links_) {
-    if (t < w.begin) break;
-    if (t < w.end) return w.scale;
-  }
-  return 1.0;
-}
-
 double PerturbationPlan::compute_finish(const ProcessorSet& procs, double st,
                                         double work) const {
   if (work <= 0.0) return st;

@@ -83,9 +83,6 @@ class PerturbationPlan {
   /// unperturbed).
   double slowdown(ProcId q, double t) const;
 
-  /// Bandwidth scale of the network at instant \p t (1.0 when clean).
-  double link_scale(double t) const;
-
   /// Finish instant of \p work nominal compute-seconds started at \p st on
   /// \p procs: piecewise integration at the slowest-member rate across the
   /// slowdown windows. Returns st + work when nothing intersects.

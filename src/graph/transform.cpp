@@ -1,51 +1,8 @@
 #include "graph/transform.hpp"
 
-#include <algorithm>
-#include <numeric>
-
 #include "graph/algorithms.hpp"
 
 namespace locmps {
-
-TaskGraph transitive_reduction(const TaskGraph& g) {
-  // An edge u->v is redundant iff v is reachable from u with the edge
-  // removed. Checking per candidate edge is O(E (V + E)) — fine at the
-  // graph sizes this library targets (hundreds of tasks).
-  const std::size_t m = g.num_edges();
-  std::vector<char> drop(m, 0);
-  for (EdgeId e = 0; e < m; ++e) {
-    const Edge& ed = g.edge(e);
-    if (ed.volume_bytes > 0.0) continue;  // data edges are real transfers
-    // DFS from src avoiding edge e.
-    std::vector<char> seen(g.num_tasks(), 0);
-    std::vector<TaskId> stack{ed.src};
-    seen[ed.src] = 1;
-    bool reachable = false;
-    while (!stack.empty() && !reachable) {
-      const TaskId u = stack.back();
-      stack.pop_back();
-      for (EdgeId f : g.out_edges(u)) {
-        if (f == e || drop[f]) continue;
-        const TaskId w = g.edge(f).dst;
-        if (w == ed.dst) {
-          reachable = true;
-          break;
-        }
-        if (!seen[w]) {
-          seen[w] = 1;
-          stack.push_back(w);
-        }
-      }
-    }
-    if (reachable) drop[e] = 1;
-  }
-  TaskGraph out;
-  for (TaskId t : g.task_ids()) out.add_task(g.task(t).name, g.task(t).profile);
-  for (EdgeId e = 0; e < m; ++e)
-    if (!drop[e])
-      out.add_edge(g.edge(e).src, g.edge(e).dst, g.edge(e).volume_bytes);
-  return out;
-}
 
 Coarsening coarsen_chains(const TaskGraph& g) {
   const std::size_t n = g.num_tasks();

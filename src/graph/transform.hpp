@@ -1,30 +1,17 @@
 #pragma once
 /// \file transform.hpp
-/// Task-graph transformations used as scheduler preprocessing:
-///
-///  * transitive reduction of pure-precedence edges — generators (and
-///    hand-written workflows) often carry redundant zero-volume edges that
-///    inflate the edge count without constraining anything;
-///  * linear-chain coarsening — a maximal chain of tasks with no other
-///    fan-in/fan-out can only ever execute sequentially, so it can be
-///    scheduled as one composite task (classic clustering); the composite
-///    runs its members back-to-back on the same processor set, which also
-///    internalizes the chain's communication. A coarse schedule expands
-///    back to a valid schedule of the original graph via expand_schedule
-///    (schedule/expand.hpp — expansion consumes Schedules, which live a
-///    layer above this one).
+/// Linear-chain coarsening, a scheduler preprocessing step: a maximal
+/// chain of tasks with no other fan-in/fan-out can only ever execute
+/// sequentially, so it can be scheduled as one composite task (classic
+/// clustering); the composite runs its members back-to-back on the same
+/// processor set, which also internalizes the chain's communication.
+/// `schedule_tool --coarsen` schedules the coarse graph.
 
 #include <vector>
 
 #include "graph/task_graph.hpp"
 
 namespace locmps {
-
-/// Returns a copy of \p g without redundant *zero-volume* edges: an edge
-/// u -> v is dropped iff it carries no data and v is reachable from u
-/// through some other path (its precedence is implied). Edges with data
-/// are never dropped — in this model they denote real transfers.
-TaskGraph transitive_reduction(const TaskGraph& g);
 
 /// Result of linear-chain coarsening.
 struct Coarsening {

@@ -18,18 +18,9 @@ void ScheduleDag::add_pseudo_edge(TaskId src, TaskId dst) {
   pseudo_.emplace_back(src, dst);
   pseudo_out_[src].push_back(dst);
   pseudo_in_[dst].push_back(src);
-  cp_valid_ = false;
 }
 
 CriticalPathInfo ScheduleDag::critical_path() const {
-  if (!cp_valid_) {
-    cp_cache_ = compute_critical_path();
-    cp_valid_ = true;
-  }
-  return cp_cache_;
-}
-
-CriticalPathInfo ScheduleDag::compute_critical_path() const {
   const std::size_t n = g_->num_tasks();
   // Kahn order over the combined (real + pseudo) edge set.
   std::vector<std::size_t> indeg(n, 0);

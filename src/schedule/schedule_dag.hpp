@@ -35,16 +35,10 @@ class ScheduleDag {
 
   const TaskGraph& graph() const { return *g_; }
 
-  void set_vertex_time(TaskId t, double w) {
-    vertex_time_[t] = w;
-    cp_valid_ = false;
-  }
+  void set_vertex_time(TaskId t, double w) { vertex_time_[t] = w; }
   double vertex_time(TaskId t) const { return vertex_time_[t]; }
 
-  void set_edge_time(EdgeId e, double w) {
-    edge_time_[e] = w;
-    cp_valid_ = false;
-  }
+  void set_edge_time(EdgeId e, double w) { edge_time_[e] = w; }
   double edge_time(EdgeId e) const { return edge_time_[e]; }
 
   /// Adds an induced dependence src -> dst (weight 0). Must not create a
@@ -52,24 +46,16 @@ class ScheduleDag {
   /// scheduler upholds this by construction.
   void add_pseudo_edge(TaskId src, TaskId dst);
 
-  std::size_t num_pseudo_edges() const { return pseudo_.size(); }
   const std::vector<std::pair<TaskId, TaskId>>& pseudo_edges() const {
     return pseudo_;
   }
 
-  /// Longest path through G' under the stored weights.
-  ///
-  /// Memoized: the refinement loop asks for the critical path of the same
-  /// realized dag several times per round (diagnosis, termination test,
-  /// look-ahead steps), so the result is cached until the next weight or
-  /// pseudo-edge mutation. The cache travels with copies and moves, so an
-  /// incumbent kept from a look-ahead walk keeps the critical path the
-  /// walk already computed.
+  /// Longest path through G' under the stored weights, computed afresh on
+  /// every call in O(|V| + |E| + pseudo-edges). LoC-MPS asks once per
+  /// refinement, each time of a newly realized dag.
   CriticalPathInfo critical_path() const;
 
  private:
-  CriticalPathInfo compute_critical_path() const;
-
   const TaskGraph* g_;
   std::vector<double> vertex_time_;
   std::vector<double> edge_time_;
@@ -77,9 +63,6 @@ class ScheduleDag {
   // Pseudo adjacency, indexed by task.
   std::vector<std::vector<TaskId>> pseudo_out_;
   std::vector<std::vector<TaskId>> pseudo_in_;
-  // Dirty-tracked critical-path cache (invalidated by every mutator).
-  mutable bool cp_valid_ = false;
-  mutable CriticalPathInfo cp_cache_;
 };
 
 }  // namespace locmps

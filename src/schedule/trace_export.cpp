@@ -2,7 +2,6 @@
 
 #include <ios>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/events.hpp"
@@ -106,12 +105,6 @@ void write_chrome_trace(std::ostream& os, const TaskGraph& g,
     write_planner_track(os, first, series, profile);
   }
   os << "]}";
-}
-
-std::string chrome_trace(const TaskGraph& g, const Schedule& s) {
-  std::ostringstream os;
-  write_chrome_trace(os, g, s);
-  return os.str();
 }
 
 }  // namespace locmps

@@ -13,7 +13,6 @@
 /// how the scheduler spent its time deciding (docs/observability.md).
 
 #include <iosfwd>
-#include <string>
 
 #include "graph/task_graph.hpp"
 #include "obs/metrics.hpp"
@@ -40,8 +39,5 @@ void write_chrome_trace(std::ostream& os, const TaskGraph& g,
                         const Schedule& s,
                         const obs::MetricsSnapshot* series = nullptr,
                         const obs::ProfileSnapshot* profile = nullptr);
-
-/// Convenience: returns the schedule-only JSON as a string.
-std::string chrome_trace(const TaskGraph& g, const Schedule& s);
 
 }  // namespace locmps

@@ -35,7 +35,6 @@ Summary summarize(std::span<const double> xs) {
 
 double mean(std::span<const double> xs) { return summarize(xs).mean; }
 
-double geomean(std::span<const double> xs) { return summarize(xs).geomean; }
 
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 

@@ -35,9 +35,6 @@ Summary summarize(std::span<const double> xs);
 /// Arithmetic mean; 0 for an empty span.
 double mean(std::span<const double> xs);
 
-/// Geometric mean; 0 for an empty span or any non-positive sample.
-double geomean(std::span<const double> xs);
-
 /// \p q-quantile (0 <= q <= 1) by linear interpolation on the sorted copy.
 double quantile(std::span<const double> xs, double q);
 

@@ -19,8 +19,6 @@ class Stopwatch {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
 
-  /// Elapsed milliseconds.
-  double millis() const { return seconds() * 1e3; }
 
  private:
   using clock = std::chrono::steady_clock;

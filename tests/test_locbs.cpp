@@ -41,7 +41,7 @@ TEST(LoCBS, SerializesWhenProcessorsShort) {
   const LocBSResult r = locbs(g, {1, 1}, m);
   EXPECT_DOUBLE_EQ(r.makespan, 20.0);
   // The wait is resource-induced: a pseudo-edge must record it.
-  EXPECT_EQ(r.dag.num_pseudo_edges(), 1u);
+  EXPECT_EQ(r.dag.pseudo_edges().size(), 1u);
 }
 
 TEST(LoCBS, RespectsAllocationSizes) {
@@ -208,7 +208,7 @@ TEST(LoCBS, SingleProcessorChainOfPseudoEdges) {
   const CommModel m{Cluster(1)};
   const LocBSResult r = locbs(g, {1, 1, 1, 1}, m);
   EXPECT_DOUBLE_EQ(r.makespan, 8.0);
-  EXPECT_EQ(r.dag.num_pseudo_edges(), 3u);
+  EXPECT_EQ(r.dag.pseudo_edges().size(), 3u);
   EXPECT_DOUBLE_EQ(r.dag.critical_path().length, 8.0);
 }
 

@@ -74,7 +74,7 @@ TEST(PaperExamples, Fig1PseudoEdgeAppearsInScheduleDag) {
   const CommModel m{Cluster(4)};
   const LocBSResult r = locbs(g, {4, 3, 2, 4}, m);
   EXPECT_DOUBLE_EQ(r.makespan, 30.0);
-  ASSERT_GE(r.dag.num_pseudo_edges(), 1u);
+  ASSERT_GE(r.dag.pseudo_edges().size(), 1u);
   const CriticalPathInfo cp = r.dag.critical_path();
   EXPECT_DOUBLE_EQ(cp.length, 30.0);
   EXPECT_EQ(cp.tasks.size(), 4u);  // T1, T2, T3, T4 chained

@@ -49,9 +49,10 @@ TEST(PerturbationPlan, BackToBackWindowsAreDisjoint) {
   EXPECT_DOUBLE_EQ(p.slowdown(0, 4.9), 2.0);
   EXPECT_DOUBLE_EQ(p.slowdown(0, 5.0), 3.0);
   EXPECT_DOUBLE_EQ(p.slowdown(0, 10.0), 1.0);  // end exclusive
-  EXPECT_DOUBLE_EQ(p.link_scale(3.9), 0.5);
-  EXPECT_DOUBLE_EQ(p.link_scale(4.0), 0.25);
-  EXPECT_DOUBLE_EQ(p.link_scale(8.0), 1.0);
+  // A short transfer runs at the scale of the link window it starts in.
+  EXPECT_DOUBLE_EQ(p.transfer_finish(3.9, 0.01), 3.9 + 0.01 / 0.5);
+  EXPECT_DOUBLE_EQ(p.transfer_finish(4.0, 0.01), 4.0 + 0.01 / 0.25);
+  EXPECT_DOUBLE_EQ(p.transfer_finish(8.0, 0.01), 8.0 + 0.01);
 }
 
 // ---------------------------------------------------------------------------

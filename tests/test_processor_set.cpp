@@ -60,14 +60,6 @@ TEST(ProcessorSet, IntersectionCountAndDisjoint) {
   EXPECT_TRUE(a.disjoint(c));
 }
 
-TEST(ProcessorSet, SubsetOf) {
-  const auto a = ProcessorSet::of(8, {1, 2});
-  const auto b = ProcessorSet::of(8, {0, 1, 2, 3});
-  EXPECT_TRUE(a.subset_of(b));
-  EXPECT_FALSE(b.subset_of(a));
-  EXPECT_TRUE(a.subset_of(a));
-}
-
 TEST(ProcessorSet, Equality) {
   auto a = ProcessorSet::of(8, {1, 2});
   auto b = ProcessorSet::of(8, {1, 2});

@@ -106,9 +106,9 @@ TEST(ScheduleDag, DetectsPseudoCycle) {
 TEST(ScheduleDag, TracksPseudoEdgeList) {
   const TaskGraph g = test::diamond();
   ScheduleDag dag(g);
-  EXPECT_EQ(dag.num_pseudo_edges(), 0u);
+  EXPECT_EQ(dag.pseudo_edges().size(), 0u);
   dag.add_pseudo_edge(1, 2);
-  ASSERT_EQ(dag.num_pseudo_edges(), 1u);
+  ASSERT_EQ(dag.pseudo_edges().size(), 1u);
   EXPECT_EQ(dag.pseudo_edges()[0], (std::pair<TaskId, TaskId>{1, 2}));
 }
 

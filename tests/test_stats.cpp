@@ -37,12 +37,12 @@ TEST(Stats, KnownSample) {
 
 TEST(Stats, GeomeanOfPowers) {
   const std::vector<double> xs{1.0, 4.0, 16.0};
-  EXPECT_NEAR(geomean(xs), 4.0, 1e-12);
+  EXPECT_NEAR(summarize(xs).geomean, 4.0, 1e-12);
 }
 
 TEST(Stats, GeomeanZeroWhenNonPositive) {
   const std::vector<double> xs{1.0, 0.0, 2.0};
-  EXPECT_EQ(geomean(xs), 0.0);
+  EXPECT_EQ(summarize(xs).geomean, 0.0);
 }
 
 TEST(Stats, MeanMatchesSummarize) {

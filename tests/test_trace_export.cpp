@@ -80,7 +80,7 @@ TEST(TraceExport, EmitsSlicesForEveryProcessorOfATask) {
   const TaskGraph g = test::chain(1, 5.0, 2, 0.0);
   Schedule s(1, 2);
   s.place(0, 0, 0, 5, ProcessorSet::of(2, {0, 1}));
-  const std::string json = chrome_trace(g, s);
+  const std::string json = test::chrome_trace(g, s);
   // One execution slice per processor.
   EXPECT_EQ(json.find("recv:"), std::string::npos);  // no busy prefix
   std::size_t count = 0, pos = 0;
@@ -96,7 +96,7 @@ TEST(TraceExport, EmitsReceiveWindowOnNoOverlapSchedules) {
   const TaskGraph g = test::chain(1, 5.0, 2, 0.0);
   Schedule s(1, 2);
   s.place(0, 2.0, 3.0, 8.0, ProcessorSet::of(2, {0}));  // busy_from < start
-  const std::string json = chrome_trace(g, s);
+  const std::string json = test::chrome_trace(g, s);
   EXPECT_NE(json.find("recv:t0"), std::string::npos);
 }
 
@@ -104,7 +104,7 @@ TEST(TraceExport, NamesProcessorRows) {
   const TaskGraph g = test::chain(1, 5.0, 2, 0.0);
   Schedule s(1, 3);
   s.place(0, 0, 0, 5, ProcessorSet::of(3, {1}));
-  const std::string json = chrome_trace(g, s);
+  const std::string json = test::chrome_trace(g, s);
   EXPECT_NE(json.find("\"name\":\"P0\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"P2\""), std::string::npos);
 }
@@ -114,7 +114,7 @@ TEST(TraceExport, EscapesAwkwardTaskNames) {
   g.add_task("we\"ird\\name", test::serial(1.0, 1));
   Schedule s(1, 1);
   s.place(0, 0, 0, 1, ProcessorSet::of(1, {0}));
-  const std::string json = chrome_trace(g, s);
+  const std::string json = test::chrome_trace(g, s);
   EXPECT_NE(json.find("we\\\"ird\\\\name"), std::string::npos);
 }
 
@@ -263,7 +263,7 @@ TEST(TraceExport, RealScheduleProducesParsableShape) {
   Rng rng(93);
   const TaskGraph g = make_synthetic_dag(p, rng);
   const SchedulerResult r = TaskParallelScheduler().schedule(g, Cluster(4));
-  const std::string json = chrome_trace(g, r.schedule);
+  const std::string json = test::chrome_trace(g, r.schedule);
   // Crude structural checks: balanced braces/brackets, proper envelope.
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');

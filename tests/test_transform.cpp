@@ -3,65 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
-#include "graph/algorithms.hpp"
-#include "schedule/expand.hpp"
 #include "schedulers/loc_mps.hpp"
 #include "test_util.hpp"
-#include "workloads/synthetic.hpp"
 #include "workloads/tce.hpp"
 
 namespace locmps {
 namespace {
 
 using test::serial;
-
-// -------------------------------------------------- transitive reduction --
-TEST(TransitiveReduction, DropsImpliedZeroVolumeEdge) {
-  TaskGraph g;  // a -> b -> c plus redundant a -> c (no data)
-  const TaskId a = g.add_task("a", serial(1, 2));
-  const TaskId b = g.add_task("b", serial(1, 2));
-  const TaskId cc = g.add_task("c", serial(1, 2));
-  g.add_edge(a, b, 0.0);
-  g.add_edge(b, cc, 0.0);
-  g.add_edge(a, cc, 0.0);
-  const TaskGraph r = transitive_reduction(g);
-  EXPECT_EQ(r.num_edges(), 2u);
-  EXPECT_EQ(r.validate(), "");
-}
-
-TEST(TransitiveReduction, KeepsDataEdges) {
-  TaskGraph g;  // the shortcut edge carries data -> must survive
-  const TaskId a = g.add_task("a", serial(1, 2));
-  const TaskId b = g.add_task("b", serial(1, 2));
-  const TaskId cc = g.add_task("c", serial(1, 2));
-  g.add_edge(a, b, 0.0);
-  g.add_edge(b, cc, 0.0);
-  g.add_edge(a, cc, 512.0);
-  EXPECT_EQ(transitive_reduction(g).num_edges(), 3u);
-}
-
-TEST(TransitiveReduction, LeavesIrreducibleGraphAlone) {
-  const TaskGraph g = test::diamond(10.0, 4, 0.0);
-  const TaskGraph r = transitive_reduction(g);
-  EXPECT_EQ(r.num_edges(), g.num_edges());
-  EXPECT_EQ(r.num_tasks(), g.num_tasks());
-}
-
-TEST(TransitiveReduction, PreservesReachability) {
-  SyntheticParams p;
-  p.ccr = 0.0;  // all edges are pure precedence -> maximal reduction
-  p.max_procs = 4;
-  Rng rng(91);
-  const TaskGraph g = make_synthetic_dag(p, rng);
-  const TaskGraph r = transitive_reduction(g);
-  EXPECT_LE(r.num_edges(), g.num_edges());
-  // Same reachability matrix.
-  for (TaskId t : g.task_ids()) {
-    const auto d1 = descendants(g, t);
-    const auto d2 = descendants(r, t);
-    EXPECT_EQ(d1, d2) << "task " << t;
-  }
-}
 
 // ------------------------------------------------------- chain coarsening --
 TEST(Coarsen, MergesAPureChainToOneTask) {
@@ -113,25 +62,6 @@ TEST(Coarsen, CompositeProfileIsMemberwiseSum) {
   EXPECT_DOUBLE_EQ(c.graph.task(0).profile.time(2), 8.0);
 }
 
-TEST(Coarsen, ExpandedScheduleIsValidWithSameMakespan) {
-  SyntheticParams p;
-  p.ccr = 0.5;
-  p.max_procs = 8;
-  p.min_tasks = 15;
-  p.max_tasks = 25;
-  Rng rng(92);
-  const TaskGraph g = make_synthetic_dag(p, rng);
-  const Coarsening c = coarsen_chains(g);
-  const Cluster cl(8);
-  const SchedulerResult coarse = LocMPSScheduler().schedule(c.graph, cl);
-  const Schedule fine = expand_schedule(c, g, coarse.schedule);
-  EXPECT_TRUE(fine.complete());
-  EXPECT_NEAR(fine.makespan(), coarse.schedule.makespan(), 1e-9);
-  // Precedence holds in the original graph (comm between members of one
-  // composite is free: same processor set).
-  EXPECT_EQ(fine.validate(g, CommModel(cl)), "");
-}
-
 TEST(Coarsen, CoarseningPreservesScheduleQuality) {
   // Scheduling the coarse graph must be no worse than ~15% off the direct
   // schedule on chain-rich graphs (often identical or better: fewer
@@ -149,12 +79,6 @@ TEST(Coarsen, CoarseningPreservesScheduleQuality) {
   const double coarse =
       LocMPSScheduler().schedule(c.graph, cl).estimated_makespan;
   EXPECT_LE(coarse, direct * 1.15);
-}
-
-TEST(Coarsen, ExpandRejectsIncompleteSchedule) {
-  const TaskGraph g = test::chain(3);
-  const Coarsening c = coarsen_chains(g);
-  EXPECT_THROW(expand_schedule(c, g, Schedule(1, 2)), std::invalid_argument);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -18,6 +19,7 @@
 #include "obs/analysis.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
+#include "schedule/trace_export.hpp"
 #include "schedulers/loc_mps.hpp"
 #include "speedup/model.hpp"
 #include "speedup/profile.hpp"
@@ -66,6 +68,13 @@ inline TaskGraph chain(std::size_t n, double t = 10.0,
   for (std::size_t i = 0; i + 1 < n; ++i)
     g.add_edge(static_cast<TaskId>(i), static_cast<TaskId>(i + 1), volume);
   return g;
+}
+
+/// The schedule-only chrome trace of \p s (write_chrome_trace) as a string.
+inline std::string chrome_trace(const TaskGraph& g, const Schedule& s) {
+  std::ostringstream os;
+  write_chrome_trace(os, g, s);
+  return os.str();
 }
 
 // ---------------------------------------------------------------------------
