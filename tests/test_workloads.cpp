@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "workloads/strassen.hpp"
@@ -123,6 +127,72 @@ TEST(Synthetic, ProfilesFollowDowneyShape) {
     for (std::size_t n = 1; n < 64; ++n)
       EXPECT_LE(prof.time(n + 1), prof.time(n) + 1e-9);
   }
+}
+
+/// One edge of a synthetic DAG: (src, dst, volume).
+struct DrawnEdge {
+  TaskId src;
+  TaskId dst;
+  double volume;
+};
+
+/// make_synthetic_dag's random draws, with each task's predecessors drawn
+/// by a partial Fisher-Yates shuffle of a literal i-element pool: the
+/// reference the generator's displaced-slot draw must reproduce edge for
+/// edge and draw for draw.
+std::vector<DrawnEdge> literal_pool_edges(const SyntheticParams& p, Rng& rng) {
+  const std::size_t n = static_cast<std::size_t>(
+      rng.uniform_int(static_cast<std::int64_t>(p.min_tasks),
+                      static_cast<std::int64_t>(p.max_tasks)));
+  for (std::size_t i = 0; i < n; ++i) {  // serial time, then Downey's A
+    (void)rng.uniform(0.0, 2.0 * p.mean_serial_time);
+    (void)rng.uniform(1.0, p.amax);
+  }
+  const auto deg_hi = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(2.0 * p.avg_degree) - 1);
+  std::vector<DrawnEdge> out;
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::size_t want = static_cast<std::size_t>(std::min<std::int64_t>(
+        static_cast<std::int64_t>(i), rng.uniform_int(1, deg_hi)));
+    std::vector<TaskId> pool(i);
+    std::iota(pool.begin(), pool.end(), TaskId{0});
+    for (std::size_t k = 0; k < want; ++k) {
+      const std::size_t j = static_cast<std::size_t>(
+          rng.uniform_int(static_cast<std::int64_t>(k),
+                          static_cast<std::int64_t>(i) - 1));
+      std::swap(pool[k], pool[j]);
+      const double cost =
+          p.ccr > 0.0 ? rng.uniform(0.0, 2.0 * p.mean_serial_time * p.ccr)
+                      : 0.0;
+      out.push_back({pool[k], static_cast<TaskId>(i), cost * p.bandwidth_Bps});
+    }
+  }
+  return out;
+}
+
+TEST(Synthetic, PredecessorDrawMatchesTheLiteralPool) {
+  // Sizes 2 and 5 clip every task's in-degree draw to the i tasks before
+  // it; avg_degree 8 draws up to 15 predecessors per task.
+  for (const std::size_t size : {2, 5, 50, 1024, 2048})
+    for (const double degree : {4.0, 8.0})
+      for (const std::uint64_t seed : {1, 7, 42, 1024, 20060901}) {
+        SyntheticParams p;
+        p.min_tasks = p.max_tasks = size;
+        p.avg_degree = degree;
+        p.ccr = seed % 2 == 0 ? 0.5 : 0.0;
+        p.max_procs = 4;
+        Rng gen(seed), ref(seed);
+        const TaskGraph g = make_synthetic_dag(p, gen);
+        const std::vector<DrawnEdge> want = literal_pool_edges(p, ref);
+        ASSERT_EQ(g.num_edges(), want.size()) << size << ' ' << seed;
+        for (EdgeId e = 0; e < g.num_edges(); ++e) {
+          const Edge& ed = g.edge(e);
+          ASSERT_TRUE(ed.src == want[e].src && ed.dst == want[e].dst &&
+                      ed.volume_bytes == want[e].volume)  // bit-exact
+              << "edge " << e << " of |V| = " << size << ", seed " << seed;
+        }
+        EXPECT_EQ(gen.next(), ref.next()) << "the random streams diverged";
+      }
 }
 
 // ----------------------------------------------------------------- TCE --
