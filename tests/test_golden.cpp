@@ -55,7 +55,7 @@ namespace {
 ///  * "metrics"         — a MetricsRegistry attached;
 ///  * "sink"            — an event sink attached (the final authoritative
 ///                        realization adds one LoCBS call to iterations);
-///  * "plan_budget=8"   — SchedulerOptions::plan_budget = 8;
+///  * "plan_budget=N"   — SchedulerOptions::plan_budget = N;
 ///  * "slack=1.25"      — SchedulerOptions::slack_factor = 1.25;
 ///  * "no_overlap"      — a cluster whose redistributions occupy the
 ///                        destination processors (the Fig 8b model, the
@@ -77,7 +77,9 @@ struct GoldenRow {
 };
 
 // The sink variant is pinned on strassen-512: CI already traces fig06
-// against the committed bench/baselines/fig06_decision_trace.jsonl.
+// against the committed bench/baselines/fig06_decision_trace.jsonl. The
+// last two rows are unobserved searches: one whose look-ahead rounds
+// mostly revert, and one whose call budget runs out mid-search.
 // clang-format off
 constexpr GoldenRow kGolden[] = {
     {"fig06", 16, "loc-mps", "", 0xf6b908a5b513a213ull, 148.71534361742818, 5902},
@@ -95,6 +97,8 @@ constexpr GoldenRow kGolden[] = {
     {"fig06", 16, "loc-mps", "slack=1.25", 0x1fbfd5c525358d16ull, 183.78327582338841, 2521},
     {"fig06", 1, "loc-mps", "", 0x0f746f9edd3b5584ull, 1642.492647668528, 1},
     {"synthetic-1", 16, "loc-mps", "", 0x4ce88df8b2d2942eull, 0.50913473795633357, 17},
+    {"perfbench-50-ccr0", 16, "loc-mps", "", 0x7849e7b73b39317bull, 121.57653589690126, 3637},
+    {"fig06", 16, "loc-mps", "plan_budget=250", 0x9de8ab4f996ec7bfull, 168.8953400384305, 251},
 };
 // clang-format on
 
@@ -123,6 +127,15 @@ std::uint64_t digest(const Schedule& s) {
     p.procs.for_each([&](ProcId q) { h = fnv(h, q); });
   }
   return h;
+}
+
+/// The generator seed of perfbench's graph \p stream: its corpus seed
+/// 20060905 mixed with the stream by splitmix64 (planner_bench.cpp's mix).
+std::uint64_t perfbench_seed(std::uint64_t stream) {
+  std::uint64_t z = 20060905ull * 0x9e3779b97f4a7c15ull + stream + 1;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
 }
 
 /// The row's graph and cluster.
@@ -170,6 +183,16 @@ Workload make_workload(const std::string& name, std::size_t procs) {
     Rng rng(64);
     return {make_pipeline(64, sp, rng), Cluster(procs)};
   }
+  if (name == "perfbench-50-ccr0") {
+    // perfbench's paper-suite graph at |V| = 50, CCR 0: a plan whose
+    // look-ahead rounds mostly revert.
+    SyntheticParams p;
+    p.min_tasks = p.max_tasks = 50;
+    p.ccr = 0.0;
+    p.max_procs = 64;
+    Rng rng(perfbench_seed(50));
+    return {make_synthetic_dag(p, rng), Cluster(procs)};
+  }
   if (name.starts_with("synthetic-")) {  // synthetic-<|V|>
     SyntheticParams p;
     p.min_tasks = p.max_tasks = std::stoul(name.substr(10));
@@ -214,7 +237,8 @@ SchedulerResult plan(const Workload& w, const std::string& scheme,
                      const std::string& opt, obs::ObsContext* ctx) {
   SchedulerOptions so;
   if (opt == "incremental=0") so.incremental = false;
-  if (opt == "plan_budget=8") so.plan_budget = 8;
+  if (opt.starts_with("plan_budget="))
+    so.plan_budget = std::stoul(opt.substr(12));
   if (opt == "slack=1.25") so.slack_factor = 1.25;
   SchedulerPtr sched = make_scheduler(scheme, so);
   if (opt == "marks_bind_lookahead=0") {
