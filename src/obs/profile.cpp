@@ -19,8 +19,31 @@ namespace {
 // accessors work (and report zeros) in builds without the hook.
 thread_local AllocCounters tl_alloc;     // NOLINT(misc-use-internal-linkage)
 thread_local int tl_alloc_pause = 0;     // >0 = counting paused
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-std::atomic<std::uint64_t> g_alloc_count{0};
+
+/// One thread's share of the process totals. Only the thread that owns
+/// the slot writes it (a load and a store, no read-modify-write), so
+/// threads allocating at once share no cache line; process_alloc_totals
+/// sums every slot. A slot outlives its thread: the next thread to claim
+/// it keeps adding to it, so the sum never loses an allocation.
+struct AllocSlot {
+  std::atomic<std::uint64_t> bytes{0};
+  std::atomic<std::uint64_t> count{0};
+  std::atomic<bool> owned{true};
+  AllocSlot* next = nullptr;  ///< set once, before the slot is published
+
+  void add(std::uint64_t n) noexcept {
+    bytes.store(bytes.load(std::memory_order_relaxed) + n,
+                std::memory_order_relaxed);
+    count.store(count.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+  }
+};
+
+std::atomic<AllocSlot*> g_alloc_slots{nullptr};  ///< push-only list
+/// Allocations made after a thread released its slot (by its own
+/// thread-exit destructors): shared, so counted with read-modify-writes.
+std::atomic<std::uint64_t> g_late_bytes{0};
+std::atomic<std::uint64_t> g_late_count{0};
 
 }  // namespace
 
@@ -28,8 +51,13 @@ const AllocCounters& thread_alloc_counters() noexcept { return tl_alloc; }
 
 AllocCounters process_alloc_totals() noexcept {
   AllocCounters out;
-  out.bytes = g_alloc_bytes.load(std::memory_order_relaxed);
-  out.count = g_alloc_count.load(std::memory_order_relaxed);
+  out.bytes = g_late_bytes.load(std::memory_order_relaxed);
+  out.count = g_late_count.load(std::memory_order_relaxed);
+  for (const AllocSlot* slot = g_alloc_slots.load(std::memory_order_acquire);
+       slot != nullptr; slot = slot->next) {
+    out.bytes += slot->bytes.load(std::memory_order_relaxed);
+    out.count += slot->count.load(std::memory_order_relaxed);
+  }
   return out;
 }
 
@@ -230,6 +258,69 @@ Profiler* profiler_of(const ObsContext* obs) {
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 #endif
 
+namespace locmps::obs {
+namespace {
+
+thread_local AllocSlot* tl_slot = nullptr;
+thread_local bool tl_slot_released = false;
+
+/// Hands the thread's slot back when the thread exits.
+struct SlotRelease {
+  SlotRelease() = default;
+  SlotRelease(const SlotRelease&) = delete;
+  SlotRelease& operator=(const SlotRelease&) = delete;
+  ~SlotRelease() {
+    tl_slot->owned.store(false, std::memory_order_release);
+    tl_slot = nullptr;
+    tl_slot_released = true;
+  }
+};
+
+/// Claims a released slot, or publishes a new one. The slots live as
+/// long as the process (malloc'd, never freed: they hold its totals).
+AllocSlot* claim_alloc_slot() noexcept {
+  for (AllocSlot* slot = g_alloc_slots.load(std::memory_order_acquire);
+       slot != nullptr; slot = slot->next) {
+    bool released = false;
+    if (!slot->owned.load(std::memory_order_relaxed) &&
+        slot->owned.compare_exchange_strong(released, true,
+                                            std::memory_order_acquire))
+      return slot;
+  }
+  void* mem = std::malloc(sizeof(AllocSlot));
+  if (mem == nullptr) return nullptr;
+  auto* slot = new (mem) AllocSlot;
+  slot->next = g_alloc_slots.load(std::memory_order_relaxed);
+  while (!g_alloc_slots.compare_exchange_weak(slot->next, slot,
+                                              std::memory_order_release,
+                                              std::memory_order_relaxed)) {
+  }
+  return slot;
+}
+
+/// Adds one allocation to the calling thread's slot, claiming one on the
+/// thread's first allocation.
+void note_process_alloc(std::uint64_t n) noexcept {
+  if (tl_slot == nullptr && !tl_slot_released) {
+    tl_slot = claim_alloc_slot();
+    if (tl_slot != nullptr) {
+      // Registers the release with the thread's exit (its bookkeeping
+      // goes through malloc, not this hook).
+      static thread_local const SlotRelease release;
+      (void)release;
+    }
+  }
+  if (tl_slot != nullptr) {
+    tl_slot->add(n);
+    return;
+  }
+  g_late_bytes.fetch_add(n, std::memory_order_relaxed);
+  g_late_count.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+}  // namespace locmps::obs
+
 namespace {
 
 inline void locmps_note_alloc(std::size_t n) noexcept {
@@ -238,8 +329,7 @@ inline void locmps_note_alloc(std::size_t n) noexcept {
   if (tl_alloc_pause == 0) {
     tl_alloc.bytes += n;
     tl_alloc.count += 1;
-    locmps::obs::g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
-    locmps::obs::g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+    locmps::obs::note_process_alloc(n);
   }
 }
 

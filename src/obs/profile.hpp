@@ -58,7 +58,9 @@ struct AllocCounters {
 /// zero when the build lacks the LOCMPS_PROFILE hook.
 const AllocCounters& thread_alloc_counters() noexcept;
 
-/// Process-wide totals across all threads (relaxed atomics).
+/// Process-wide totals across all threads: the sum of per-thread counters
+/// that only their own thread writes, so allocating threads share no
+/// counter. Exact once the threads being counted have stopped allocating.
 AllocCounters process_alloc_totals() noexcept;
 
 /// True when the counting operator new hook is compiled in

@@ -15,6 +15,7 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -131,6 +132,40 @@ TEST(Profiler, AllocationAttributionIsExactAndPausable) {
   EXPECT_GE(snap.find("alloc.heavy")->allocs, 1u);
   EXPECT_EQ(snap.find("alloc.none")->alloc_bytes, 0u);
   EXPECT_EQ(snap.find("alloc.none")->allocs, 0u);
+}
+
+TEST(Profiler, ProcessAllocationTotalsAreExactAcrossThreads) {
+  if (!obs::alloc_counting_enabled())
+    GTEST_SKIP() << "LOCMPS_PROFILE alloc hook not compiled in";
+  // Every counted allocation lands in exactly one thread's counters and in
+  // the process totals: the totals' delta over threads that allocate at
+  // once equals the sum of those threads' own deltas and the caller's.
+  // Threads exit between waves, so later waves reuse released slots.
+  constexpr std::size_t kThreads = 4, kWaves = 3, kAllocs = 5000;
+  const obs::AllocCounters before = obs::process_alloc_totals();
+  const obs::AllocCounters main0 = obs::thread_alloc_counters();
+  std::vector<obs::AllocCounters> own(kThreads * kWaves);
+  for (std::size_t wave = 0; wave < kWaves; ++wave) {
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < kThreads; ++i)
+      threads.emplace_back([&own, slot = wave * kThreads + i]() {
+        for (std::size_t k = 0; k < kAllocs; ++k)
+          ::operator delete(::operator new(8 + slot + k % 64));
+        own[slot] = obs::thread_alloc_counters();
+      });
+    for (std::thread& t : threads) t.join();
+  }
+  const obs::AllocCounters main1 = obs::thread_alloc_counters();
+  const obs::AllocCounters after = obs::process_alloc_totals();
+  std::uint64_t bytes = main1.bytes - main0.bytes;
+  std::uint64_t count = main1.count - main0.count;
+  for (const obs::AllocCounters& c : own) {
+    EXPECT_GE(c.count, kAllocs);
+    bytes += c.bytes;
+    count += c.count;
+  }
+  EXPECT_EQ(after.bytes - before.bytes, bytes);
+  EXPECT_EQ(after.count - before.count, count);
 }
 
 // ---------------------------------------------------------------------------
