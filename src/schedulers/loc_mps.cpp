@@ -1,8 +1,11 @@
 #include "schedulers/loc_mps.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <exception>
 #include <optional>
 #include <tuple>
 #include <utility>
@@ -11,6 +14,7 @@
 #include "obs/log.hpp"
 #include "obs/profile.hpp"
 #include "schedulers/incremental.hpp"
+#include "schedulers/lanes.hpp"
 
 namespace locmps {
 
@@ -33,14 +37,61 @@ struct Refinement {
 
 /// Outcome of one look-ahead walk (Alg. 1 steps 15-30): the best
 /// allocation it adopted and its realization, set only when it beat the
-/// incumbent it started from.
+/// incumbent it started from, and the LoCBS passes it ran.
 struct WalkResult {
   Allocation alloc;
   std::optional<LocBSResult> run;
+  std::size_t passes = 0;
+};
+
+/// The bad-entry marks of Alg. 1 steps 31-38, per task and per edge.
+struct Marks {
+  std::vector<char> task, edge;
+
+  void mark(const Refinement& entry) {
+    (entry.is_task ? task[entry.task] : edge[entry.edge]) = 1;
+  }
+  void clear() {
+    std::fill(task.begin(), task.end(), 0);
+    std::fill(edge.begin(), edge.end(), 0);
+  }
+};
+
+/// One look-ahead lane: the evaluation stream, the marks and the round a
+/// walk runs on (docs/ALGORITHMS.md §3). Lane 0 is the search's own, and
+/// its marks are the search's. In a batch, lane i walks the i-th round
+/// under the marks that the batch's earlier rounds leave by reverting.
+struct alignas(64) Lane {  // a cache line of its own: lanes write at once
+  std::size_t index = 0;
+  IncrementalContext incr;  ///< one stream per lane (incremental.hpp)
+  Marks marks;
+  // The lane's round in a batch: its entry, its start and its outcome.
+  Refinement entry;
+  Allocation np;
+  WalkResult out;
+  std::exception_ptr error;
+};
+
+/// The lanes of a batch whose rounds will not revert, one bit per lane: a
+/// walk that adopted an allocation, or a lane that threw. Every round
+/// after the first such lane is dropped, so a lane stops at its next pass
+/// once an earlier lane's bit is set.
+struct Settled {
+  std::atomic<std::uint32_t> bits{0};
+
+  void reset() { bits.store(0, std::memory_order_relaxed); }
+  [[nodiscard]] bool before(std::size_t lane) const {
+    return (bits.load(std::memory_order_relaxed) & ((1u << lane) - 1)) != 0;
+  }
+  void set(std::size_t lane) {
+    bits.fetch_or(1u << lane, std::memory_order_relaxed);
+  }
 };
 
 /// The state of one LoC-MPS run, with one member function per group of
 /// Alg. 1's steps; LocMPSScheduler::run is the repeat-until loop over them.
+/// A walk reads the search and writes only its lane, so the lanes of a
+/// batch run at once on the helper pool (lanes.hpp).
 ///
 /// The refinement search always runs unperturbed and untraced: a
 /// mid-search placement flip would diverge the whole trajectory and smear
@@ -59,10 +110,12 @@ struct Search {
   const ConcurrencyAnalysis conc{g};
   LocBSOptions lopt = opt.locbs;  ///< the search's: perturb_task disarmed
   obs::ObsContext search_ctx{met, nullptr, obs::profiler_of(obs)};
+  /// The look-ahead lanes; lane 0 holds the search's stream and marks.
   /// Incremental replanning (docs/incremental.md): each LoCBS evaluation
-  /// of the refinement stream replays the placement prefix it shares with
-  /// the previous one.
-  IncrementalContext incr;
+  /// of a lane's stream replays the placement prefix it shares with the
+  /// lane's previous one.
+  std::array<Lane, lanes::kMaxLanes> lanes;
+  Marks& marks = lanes[0].marks;
   /// Widening bounds per task: cap for the task itself, min(P, Pbest)
   /// (Alg. 1 step 14), and ecap as an edge endpoint, the usable width.
   /// Both are the survivor count at most on a degraded cluster
@@ -71,8 +124,8 @@ struct Search {
   Allocation best_alloc;   ///< the incumbent allocation
   std::size_t calls = 0;   ///< LoCBS passes plus one per round (loc_mps.hpp)
   LocBSResult best_run;    ///< the incumbent's realization
-  std::vector<char> marked_task = std::vector<char>(g.num_tasks(), 0);
-  std::vector<char> marked_edge = std::vector<char>(g.num_edges(), 0);
+  bool reverted = false;   ///< the last round marked its entry
+  Settled settled;         ///< of the running batch
 
   Search(const TaskGraph& graph, const Cluster& cluster,
          const LocMPSOptions& options, const FixedPrefix* prefix,
@@ -108,24 +161,27 @@ struct Search {
       if (fixed != nullptr && fixed->is_frozen(t))
         best_alloc[t] = cap[t] = ecap[t] = fixed->placements->at(t).np();
     }
-    return eval(best_alloc);
+    marks.task.assign(g.num_tasks(), 0);
+    marks.edge.assign(g.num_edges(), 0);
+    for (std::size_t i = 0; i < lanes.size(); ++i) lanes[i].index = i;
+    ++calls;
+    return eval(lanes[0], best_alloc);
   }
 
-  /// One LoCBS pass of the refinement search, charged to calls.
-  LocBSResult eval(const Allocation& np) {
-    ++calls;
+  /// One LoCBS pass of the refinement search on \p lane's stream.
+  LocBSResult eval(Lane& lane, const Allocation& np) {
     return locbs(g, np, comm, lopt, fixed,
                  obs != nullptr ? &search_ctx : nullptr,
-                 opt.incremental ? &incr : nullptr);
+                 opt.incremental ? &lane.incr : nullptr);
   }
 
   /// Alg. 1 steps 8-14 / 19-29: one refinement of \p np against the
-  /// critical path of \p dag. Widens the pick of the dominating-cost
-  /// branch, falling back to the other branch, so a step is only abandoned
-  /// when nothing is refinable (then returns nothing and leaves \p np
-  /// untouched).
+  /// critical path of \p dag, skipping what \p skip marks (nothing when it
+  /// is null). Widens the pick of the dominating-cost branch, falling back
+  /// to the other branch, so a step is only abandoned when nothing is
+  /// refinable (then returns nothing and leaves \p np untouched).
   std::optional<Refinement> select(const ScheduleDag& dag, Allocation& np,
-                                   bool respect_marks) const {
+                                   const Marks* skip) const {
     CriticalPathInfo cp;
     {
       LOCMPS_SPAN(obs, "locmps.critical_path");
@@ -139,14 +195,14 @@ struct Search {
     for (int attempt = 0; attempt < 2; ++attempt) {
       const bool task_branch = (attempt == 0) == rf.comp_dominates;
       if (task_branch) {
-        const TaskId t = pick_task(cp, np, respect_marks);
+        const TaskId t = pick_task(cp, np, skip);
         if (t != kNoTask) {
           np[t] += 1;
           rf.task = t;
           return rf;
         }
       } else if (comm_aware) {
-        const EdgeId e = pick_edge(cp, dag, np, respect_marks);
+        const EdgeId e = pick_edge(cp, dag, np, skip);
         if (e != kNoEdge) {
           std::tie(rf.widened_src, rf.widened_dst) = widen_edge(e, np);
           rf.is_task = false;
@@ -162,11 +218,11 @@ struct Search {
   /// top fraction by execution-time gain, the one with the lowest
   /// concurrency ratio (Section III-C).
   TaskId pick_task(const CriticalPathInfo& cp, const Allocation& np,
-                   bool respect_marks) const {
+                   const Marks* skip) const {
     std::vector<TaskId> cand;
     for (TaskId t : cp.tasks) {
       if (np[t] >= cap[t]) continue;
-      if (respect_marks && marked_task[t]) continue;
+      if (skip != nullptr && skip->task[t]) continue;
       cand.push_back(t);
     }
     if (cand.empty()) return kNoTask;
@@ -194,12 +250,12 @@ struct Search {
   /// Chooses the heaviest refinable communication edge on the critical
   /// path (Section III-D). Returns kNoEdge if none qualifies.
   EdgeId pick_edge(const CriticalPathInfo& cp, const ScheduleDag& dag,
-                   const Allocation& np, bool respect_marks) const {
+                   const Allocation& np, const Marks* skip) const {
     EdgeId best = kNoEdge;
     double best_w = 0.0;
     for (EdgeId e : cp.edges) {
       if (e == kNoEdge) continue;  // pseudo-edge
-      if (respect_marks && marked_edge[e]) continue;
+      if (skip != nullptr && skip->edge[e]) continue;
       const Edge& ed = g.edge(e);
       if (np[ed.src] >= ecap[ed.src] && np[ed.dst] >= ecap[ed.dst]) continue;
       const double w = dag.edge_time(e);
@@ -230,11 +286,14 @@ struct Search {
     return {src_ok, dst_ok};
   }
 
-  /// Alg. 1 steps 15-30: one look-ahead walk whose first refinement \p rf
-  /// already widened \p np. Explores up to look_ahead_depth refinements,
-  /// or until the call budget runs out, adopting every strict improvement
-  /// over the incumbent and keeping its realization.
-  WalkResult walk(std::size_t round, Allocation np, Refinement rf) {
+  /// Alg. 1 steps 15-30: one look-ahead walk on \p lane whose first
+  /// refinement \p rf already widened \p np. Explores up to
+  /// look_ahead_depth refinements, or until the call budget runs out,
+  /// adopting every strict improvement over the incumbent and keeping its
+  /// realization. In a batch it also stops once an earlier lane settled,
+  /// which drops its round.
+  WalkResult walk(Lane& lane, std::size_t round, Allocation np,
+                  Refinement rf) {
     LOCMPS_SPAN(obs, "locmps.walk");
     WalkResult r;
     double best = best_run.makespan;
@@ -242,17 +301,22 @@ struct Search {
     const LocBSResult* cur = nullptr;  // the latest evaluation
     for (std::size_t iter = 0; iter < opt.look_ahead_depth; ++iter) {
       if (iter > 0) {
-        const std::optional<Refinement> next =
-            select(cur->dag, np, opt.marks_bind_lookahead);
+        if (settled.before(lane.index)) break;
+        const std::optional<Refinement> next = select(
+            cur->dag, np, opt.marks_bind_lookahead ? &lane.marks : nullptr);
         if (!next) break;
         rf = *next;
       }
       if (met != nullptr)
         met->add(rf.is_task ? "locmps.widened_tasks"
                             : "locmps.widened_edges");
-      LocBSResult res = eval(np);
+      if (const lanes::PassHook hook = lanes::pass_hook())
+        hook(round, lane.index, lane.incr);
+      LocBSResult res = eval(lane, np);
+      ++r.passes;
       const bool adopted = res.makespan < best;
       if (adopted) {
+        if (!r.run) settled.set(lane.index);  // the round will commit
         r.alloc = np;
         best = res.makespan;
         cur = &r.run.emplace(std::move(res));
@@ -264,7 +328,7 @@ struct Search {
                             .with("makespan", cur->makespan)
                             .with("adopted", adopted)
                             .with("best", best));
-      if (calls >= opt.max_locbs_calls) break;
+      if (calls + r.passes >= opt.max_locbs_calls) break;
     }
     return r;
   }
@@ -307,27 +371,25 @@ struct Search {
 
   /// Alg. 1 steps 31-38: commit-or-mark for one completed look-ahead
   /// round. Updates the incumbent and the marks, bumps the round counters,
-  /// emits the round's locmps.lookahead event, and charges the round's
-  /// call: the incumbent's realization is kept from the walk rather than
-  /// re-run, so `iterations` and the call budget count LoCBS passes plus
-  /// rounds (loc_mps.hpp).
+  /// emits the round's locmps.lookahead event, and charges the walk's
+  /// passes and the round's call: the incumbent's realization is kept from
+  /// the walk rather than re-run, so `iterations` and the call budget count
+  /// LoCBS passes plus rounds (loc_mps.hpp).
   void commit_or_mark(std::size_t round, const Refinement& entry,
                       WalkResult&& w) {
+    calls += w.passes;
     const bool improved = w.run.has_value();
     const double old_sl = best_run.makespan;
+    reverted = !improved;
     if (!improved) {
       // Failed look-ahead: remember the entry point as a bad start.
-      if (entry.is_task)
-        marked_task[entry.task] = 1;
-      else
-        marked_edge[entry.edge] = 1;
+      marks.mark(entry);
     } else {
       // Commit: adopt the improved allocation with the walk's realization
       // of it, and clear all marks.
       best_alloc = std::move(w.alloc);
       best_run = std::move(*w.run);
-      std::fill(marked_task.begin(), marked_task.end(), 0);
-      std::fill(marked_edge.begin(), marked_edge.end(), 0);
+      marks.clear();
     }
     if (obs::log_enabled(obs::LogLevel::kDebug))
       obs::log(obs::LogLevel::kDebug, "loc-mps")
@@ -354,6 +416,64 @@ struct Search {
       met->sample("locmps.best_makespan", best_run.makespan);
       met->sample("locmps.locbs_calls", static_cast<double>(calls));
     }
+  }
+
+  /// Alg. 1 steps 15-38 for the round entered at \p entry, which widened
+  /// \p np, and, after a revert, for the rounds after it: their entries
+  /// are known, since a round that reverts only marks its entry. A batch
+  /// walks the next rounds at once on idle CPUs, each on its own lane from
+  /// the unchanged incumbent, then folds them in round order and drops
+  /// every round after the first commit, so the search is the sequential
+  /// one. Plans with an ObsContext, batches that could reach the call
+  /// budget and plans that find the pool busy walk one round on lane 0.
+  /// Returns the rounds folded.
+  std::size_t look_ahead(std::size_t round, Allocation np,
+                         const Refinement& entry) {
+    // A round charges at most look_ahead_depth passes plus itself.
+    const std::size_t budget = opt.max_locbs_calls - calls;
+    std::size_t k = 1;
+    if (obs == nullptr && reverted && opt.look_ahead_depth < budget)
+      k = std::min(lanes::width(), budget / (opt.look_ahead_depth + 1));
+    lanes[0].entry = entry;
+    lanes[0].np = std::move(np);
+    for (std::size_t i = 1; i < k; ++i) {
+      Lane& l = lanes[i];
+      l.marks = lanes[i - 1].marks;
+      l.marks.mark(lanes[i - 1].entry);
+      l.np = best_alloc;
+      const std::optional<Refinement> e = select(best_run.dag, l.np, &l.marks);
+      if (!e) {  // no round i: the search ends if the earlier ones revert
+        k = i;
+        break;
+      }
+      l.entry = *e;
+    }
+    settled.reset();
+    auto run_lane = [this, round](std::size_t i) {
+      Lane& l = lanes[i];
+      try {
+        l.out = walk(l, round + i, std::move(l.np), l.entry);
+      } catch (...) {
+        l.error = std::current_exception();
+        settled.set(i);
+      }
+    };
+    if (k < 2 || !lanes::run(k, run_lane)) {
+      k = 1;
+      run_lane(0);
+    }
+    std::size_t i = 0;
+    for (bool committed = false; i < k && !committed; ++i) {
+      Lane& l = lanes[i];
+      if (l.error) std::rethrow_exception(std::exchange(l.error, nullptr));
+      committed = l.out.run.has_value();
+      commit_or_mark(round + i, l.entry, std::move(l.out));
+    }
+    // A dropped round's throw does not escape, but it may have left the
+    // lane's stream half-written: discard it (incremental.hpp).
+    for (std::size_t j = i; j < k; ++j)
+      if (std::exchange(lanes[j].error, nullptr)) lanes[j].incr = {};
+    return i;
   }
 
   /// Final authoritative realization: the only pass that sees the sink and
@@ -403,22 +523,23 @@ SchedulerResult LocMPSScheduler::run(const TaskGraph& g,
   Search s(g, cluster, opt_, fixed, obs);
   // Main repeat-until loop (Alg. 1 steps 5-40): one look-ahead round per
   // iteration, entered at the incumbent's critical path with the marks
-  // binding, then commit-or-mark. The incumbent keeps the realization
-  // that the walk adopting it (or the start) computed, so the next round
-  // reads its G' without another LoCBS pass.
-  for (std::size_t round = 1; s.calls < opt_.max_locbs_calls; ++round) {
+  // binding, then commit-or-mark; after a revert, a batch of the rounds
+  // that follow it (look_ahead). The incumbent keeps the realization that
+  // the walk adopting it (or the start) computed, so the next round reads
+  // its G' without another LoCBS pass.
+  for (std::size_t round = 1; s.calls < opt_.max_locbs_calls;) {
     if (obs::wants_events(obs))
       obs->sink->emit(obs::Event("locmps.lookahead_begin")
                           .with("round", static_cast<std::uint64_t>(round))
                           .with("best", s.best_run.makespan));
     Allocation np = s.best_alloc;
     const std::optional<Refinement> entry =
-        s.select(s.best_run.dag, np, /*respect_marks=*/true);
+        s.select(s.best_run.dag, np, &s.marks);
     // Termination (Alg. 1 step 40): every critical-path task is saturated
     // or marked, and so is every refinable path edge. The final round
     // opens and immediately ends.
     if (!entry) break;
-    s.commit_or_mark(round, *entry, s.walk(round, std::move(np), *entry));
+    round += s.look_ahead(round, std::move(np), *entry);
   }
   return s.realize_final();
 }

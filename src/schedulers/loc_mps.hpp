@@ -15,6 +15,15 @@
 /// schedules to escape local minima (Section III-E); a look-ahead that ends
 /// no better than it started marks its entry task/edge as a bad starting
 /// point. The schedule for each trial allocation comes from LoCBS.
+///
+/// A reverted look-ahead changes only one mark, so the entries of the next
+/// rounds are known before they run: an unobserved plan walks up to four
+/// of them at once on a process-wide helper pool (lanes.hpp), one round
+/// per CPU, and folds them in round order, dropping every round after the
+/// first that commits. A plan (schedule, allocation, iterations,
+/// makespan) is therefore identical for any CPU count. A plan with an
+/// ObsContext attached walks one round at a time on one lane, so its
+/// events, counters, spans and log lines are the sequential search's.
 
 #include "schedulers/locbs.hpp"
 #include "schedulers/scheduler.hpp"
