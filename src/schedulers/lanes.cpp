@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -17,6 +18,7 @@ namespace {
 
 std::atomic<bool> g_forked{false};
 std::atomic<PassHook> g_pass_hook{nullptr};
+std::atomic<std::size_t> g_batches{0};
 
 std::size_t usable_cpus() noexcept {
 #if defined(__linux__)
@@ -28,14 +30,42 @@ std::size_t usable_cpus() noexcept {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+/// How long a waiting thread polls before it sleeps in the kernel. The
+/// batches of one plan follow each other within a walk or two, so helpers
+/// that poll this long are awake for the next batch, and waking a
+/// sleeping one would cost about a short walk.
+constexpr std::chrono::microseconds kPoll{200};
+
+/// Returns once \p a no longer holds \p old (acquire), and its new value.
+std::uint32_t await_change(const std::atomic<std::uint32_t>& a,
+                           std::uint32_t old) noexcept {
+  const auto until = std::chrono::steady_clock::now() + kPoll;
+  for (unsigned spin = 1;; ++spin) {
+    const std::uint32_t v = a.load(std::memory_order_acquire);
+    if (v != old) return v;
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+    if (spin % 64 == 0 && std::chrono::steady_clock::now() > until) break;
+  }
+  a.wait(old, std::memory_order_acquire);
+  return a.load(std::memory_order_acquire);
+}
+
 /// One helper's doorbell, on its own cache line: the caller rings it once
-/// per batch that needs the helper's lane.
+/// per batch that may need the helper.
 struct alignas(64) Doorbell {
   std::atomic<std::uint32_t> rings{0};
 };
 
-/// The helpers, one per lane past lane 0. Never destroyed: its threads
-/// are detached and wait on their doorbells until the process exits.
+/// The helpers. Never destroyed: its threads are detached and wait on
+/// their doorbells until the process exits.
+///
+/// A batch's lanes are claimed in order, one at a time, by whichever
+/// thread is free: lane 0 by the caller, the others by helpers that hear
+/// their doorbell in time and by the caller once its own lane returns. So
+/// the caller never waits for a helper that has not started; a batch
+/// whose helpers are asleep runs on the caller alone, as one lane would.
 class Pool {
  public:
   explicit Pool(std::size_t helpers)
@@ -49,42 +79,64 @@ class Pool {
   }
 
   bool run(std::size_t n, Job job, void* ctx) noexcept {
-    if (n - 1 > helpers_ || busy_.exchange(true, std::memory_order_acquire))
-      return false;
+    if (busy_.exchange(true, std::memory_order_acquire)) return false;
     job_ = job;
     ctx_ = ctx;
-    pending_.store(static_cast<std::uint32_t>(n - 1),
-                   std::memory_order_relaxed);
-    for (std::size_t h = 0; h + 1 < n; ++h) {
+    done_.store(0, std::memory_order_relaxed);
+    // Lane 0 is claimed: it is the caller's.
+    claims_.store((++batch_ << 8) | (n << 4) | 1, std::memory_order_release);
+    for (std::size_t h = 0; h < std::min(n - 1, helpers_); ++h) {
       bells_[h].rings.fetch_add(1, std::memory_order_release);
       bells_[h].rings.notify_one();
     }
-    job(ctx, 0);
-    for (std::uint32_t p; (p = pending_.load(std::memory_order_acquire)) != 0;)
-      pending_.wait(p, std::memory_order_acquire);
+    job(ctx, 0, 0);
+    std::uint32_t theirs = static_cast<std::uint32_t>(n - 1);
+    for (std::size_t lane; claim(lane); --theirs) job(ctx, lane, 0);
+    for (std::uint32_t d; (d = done_.load(std::memory_order_acquire)) != theirs;)
+      await_change(done_, d);
     busy_.store(false, std::memory_order_release);
     return true;
   }
 
  private:
+  /// Takes the running batch's next unclaimed lane, if any (acquire: the
+  /// batch's job, context and lanes are then visible).
+  bool claim(std::size_t& lane) noexcept {
+    std::uint64_t c = claims_.load(std::memory_order_acquire);
+    do {
+      if ((c & 0xf) == ((c >> 4) & 0xf)) return false;
+    } while (!claims_.compare_exchange_weak(c, c + 1,
+                                            std::memory_order_acquire));
+    lane = c & 0xf;
+    return true;
+  }
+
   [[noreturn]] void serve(std::size_t h) noexcept {
     std::uint32_t seen = 0;
     for (;;) {
-      bells_[h].rings.wait(seen, std::memory_order_acquire);
-      seen = bells_[h].rings.load(std::memory_order_acquire);
-      job_(ctx_, h + 1);
-      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1)
-        pending_.notify_one();
+      seen = await_change(bells_[h].rings, seen);
+      for (std::size_t lane; claim(lane);) {
+        job_(ctx_, lane, h + 1);
+        done_.fetch_add(1, std::memory_order_release);
+        done_.notify_one();
+      }
     }
   }
 
   std::size_t helpers_ = 0;  ///< started; fixed once constructed
   std::atomic<bool> busy_{false};
-  // Written by the caller before it rings a doorbell (release) and read
-  // by a helper after it hears the ring (acquire).
+  std::uint64_t batch_ = 0;  ///< the caller's count of batches
+  // Written by the caller before it publishes a batch in claims_
+  // (release) and read by a thread that claimed one of its lanes
+  // (acquire).
   Job job_ = nullptr;
   void* ctx_ = nullptr;
-  alignas(64) std::atomic<std::uint32_t> pending_{0};
+  /// The running batch: its number << 8 | lanes << 4 | next lane. The
+  /// number keeps a claim from landing in a later batch than the one it
+  /// read.
+  alignas(64) std::atomic<std::uint64_t> claims_{0};
+  /// Lanes of the running batch that helpers claimed and finished.
+  alignas(64) std::atomic<std::uint32_t> done_{0};
   std::unique_ptr<Doorbell[]> bells_;
 };
 
@@ -114,7 +166,13 @@ std::size_t width() noexcept {
 bool run(std::size_t n, Job job, void* ctx) noexcept {
   if (g_forked.load(std::memory_order_relaxed)) return false;
   Pool* const p = pool();
-  return p != nullptr && p->run(n, job, ctx);
+  if (p == nullptr || !p->run(n, job, ctx)) return false;
+  g_batches.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+std::size_t batches_run() noexcept {
+  return g_batches.load(std::memory_order_relaxed);
 }
 
 void set_pass_hook(PassHook hook) noexcept {

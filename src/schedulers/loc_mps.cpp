@@ -57,19 +57,19 @@ struct Marks {
   }
 };
 
-/// One look-ahead lane: the evaluation stream, the marks and the round a
-/// walk runs on (docs/ALGORITHMS.md §3). Lane 0 is the search's own, and
-/// its marks are the search's. In a batch, lane i walks the i-th round
-/// under the marks that the batch's earlier rounds leave by reverting.
+/// One look-ahead lane: the marks and the round a walk runs on
+/// (docs/ALGORITHMS.md §3). Lane 0 is the search's own, and its marks are
+/// the search's. In a batch, lane i walks the i-th round under the marks
+/// that the batch's earlier rounds leave by reverting.
 struct alignas(64) Lane {  // a cache line of its own: lanes write at once
   std::size_t index = 0;
-  IncrementalContext incr;  ///< one stream per lane (incremental.hpp)
   Marks marks;
   // The lane's round in a batch: its entry, its start and its outcome.
   Refinement entry;
   Allocation np;
   WalkResult out;
   std::exception_ptr error;
+  IncrementalContext* stream = nullptr;  ///< the one its walk ran on
 };
 
 /// The lanes of a batch whose rounds will not revert, one bit per lane: a
@@ -110,11 +110,14 @@ struct Search {
   const ConcurrencyAnalysis conc{g};
   LocBSOptions lopt = opt.locbs;  ///< the search's: perturb_task disarmed
   obs::ObsContext search_ctx{met, nullptr, obs::profiler_of(obs)};
-  /// The look-ahead lanes; lane 0 holds the search's stream and marks.
-  /// Incremental replanning (docs/incremental.md): each LoCBS evaluation
-  /// of a lane's stream replays the placement prefix it shares with the
-  /// lane's previous one.
+  /// The look-ahead lanes; lane 0 holds the search's marks.
   std::array<Lane, lanes::kMaxLanes> lanes;
+  /// Incremental replanning (docs/incremental.md): each LoCBS evaluation
+  /// of a stream replays the placement prefix it shares with the stream's
+  /// previous one. One stream per thread that walks (incremental.hpp):
+  /// streams[0] the calling thread's, streams[w] helper w's, so a thread
+  /// that walks several rounds of a batch replays each against the last.
+  std::array<IncrementalContext, lanes::kMaxLanes> streams;
   Marks& marks = lanes[0].marks;
   /// Widening bounds per task: cap for the task itself, min(P, Pbest)
   /// (Alg. 1 step 14), and ecap as an edge endpoint, the usable width.
@@ -165,14 +168,14 @@ struct Search {
     marks.edge.assign(g.num_edges(), 0);
     for (std::size_t i = 0; i < lanes.size(); ++i) lanes[i].index = i;
     ++calls;
-    return eval(lanes[0], best_alloc);
+    return eval(streams[0], best_alloc);
   }
 
-  /// One LoCBS pass of the refinement search on \p lane's stream.
-  LocBSResult eval(Lane& lane, const Allocation& np) {
+  /// One LoCBS pass of the refinement search on \p stream.
+  LocBSResult eval(IncrementalContext& stream, const Allocation& np) {
     return locbs(g, np, comm, lopt, fixed,
                  obs != nullptr ? &search_ctx : nullptr,
-                 opt.incremental ? &lane.incr : nullptr);
+                 opt.incremental ? &stream : nullptr);
   }
 
   /// Alg. 1 steps 8-14 / 19-29: one refinement of \p np against the
@@ -286,8 +289,8 @@ struct Search {
     return {src_ok, dst_ok};
   }
 
-  /// Alg. 1 steps 15-30: one look-ahead walk on \p lane whose first
-  /// refinement \p rf already widened \p np. Explores up to
+  /// Alg. 1 steps 15-30: one look-ahead walk on \p lane, evaluated on its
+  /// stream, whose first refinement \p rf already widened \p np. Explores up to
   /// look_ahead_depth refinements, or until the call budget runs out,
   /// adopting every strict improvement over the incumbent and keeping its
   /// realization. In a batch it also stops once an earlier lane settled,
@@ -311,8 +314,8 @@ struct Search {
         met->add(rf.is_task ? "locmps.widened_tasks"
                             : "locmps.widened_edges");
       if (const lanes::PassHook hook = lanes::pass_hook())
-        hook(round, lane.index, lane.incr);
-      LocBSResult res = eval(lane, np);
+        hook(round, lane.index, *lane.stream);
+      LocBSResult res = eval(*lane.stream, np);
       ++r.passes;
       const bool adopted = res.makespan < best;
       if (adopted) {
@@ -449,8 +452,10 @@ struct Search {
       l.entry = *e;
     }
     settled.reset();
-    auto run_lane = [this, round](std::size_t i) {
+    auto run_lane = [this, round](std::size_t i, std::size_t thread) {
       Lane& l = lanes[i];
+      if (settled.before(i)) return;  // its round is dropped
+      l.stream = &streams[thread];
       try {
         l.out = walk(l, round + i, std::move(l.np), l.entry);
       } catch (...) {
@@ -460,7 +465,7 @@ struct Search {
     };
     if (k < 2 || !lanes::run(k, run_lane)) {
       k = 1;
-      run_lane(0);
+      run_lane(0, 0);
     }
     std::size_t i = 0;
     for (bool committed = false; i < k && !committed; ++i) {
@@ -469,10 +474,11 @@ struct Search {
       committed = l.out.run.has_value();
       commit_or_mark(round + i, l.entry, std::move(l.out));
     }
-    // A dropped round's throw does not escape, but it may have left the
-    // lane's stream half-written: discard it (incremental.hpp).
+    // A dropped round's throw does not escape, but it may have left its
+    // stream half-written: discard it (incremental.hpp). The thread that
+    // threw skipped its later lanes, whose rounds are dropped too.
     for (std::size_t j = i; j < k; ++j)
-      if (std::exchange(lanes[j].error, nullptr)) lanes[j].incr = {};
+      if (std::exchange(lanes[j].error, nullptr)) *lanes[j].stream = {};
     return i;
   }
 

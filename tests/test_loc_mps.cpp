@@ -220,14 +220,6 @@ TEST(LocMPS, WidensCommEdgesWhenCommDominates) {
 // one round at a time on one lane. Both must give the same plan, whatever
 // the options, and a throw in a round the fold drops must not escape.
 
-/// Passes walked on a helper lane (lane > 0) while count_helper_passes is
-/// the pass hook.
-std::atomic<std::size_t> g_helper_passes{0};
-
-void count_helper_passes(std::size_t, std::size_t lane, IncrementalContext&) {
-  if (lane > 0) g_helper_passes.fetch_add(1, std::memory_order_relaxed);
-}
-
 /// Installs a pass hook for one scope.
 class PassHookScope {
  public:
@@ -300,8 +292,7 @@ class LocMPSLanes : public ::testing::TestWithParam<LaneVariant> {};
 TEST_P(LocMPSLanes, UnobservedPlansMatchOneLane) {
   LocMPSOptions opt;
   GetParam().apply(opt);
-  const PassHookScope hook(count_helper_passes);
-  g_helper_passes = 0;
+  const std::size_t batches = lanes::batches_run();
   for (std::uint64_t seed = 1; seed <= 2; ++seed)
     for (const std::size_t tasks : {12, 25})
       for (const std::size_t procs : {1, 4, 16}) {
@@ -314,7 +305,7 @@ TEST_P(LocMPSLanes, UnobservedPlansMatchOneLane) {
                              std::to_string(procs));
       }
   if (lanes::width() > 1)
-    EXPECT_GT(g_helper_passes.load(), 0u) << "no batch ran";
+    EXPECT_GT(lanes::batches_run(), batches) << "no batch ran";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -324,8 +315,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(LocMPSLanes, FaultReplansMatchOneLane) {
-  const PassHookScope hook(count_helper_passes);
-  g_helper_passes = 0;
+  const std::size_t batches = lanes::batches_run();
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const TaskGraph g = lane_graph(25, 16, seed);
     const Cluster c(16);
@@ -354,7 +344,7 @@ TEST(LocMPSLanes, FaultReplansMatchOneLane) {
     expect_same_schedule(ref.executed, got.executed, label);
   }
   if (lanes::width() > 1)
-    EXPECT_GT(g_helper_passes.load(), 0u) << "no batch ran";
+    EXPECT_GT(lanes::batches_run(), batches) << "no batch ran";
 }
 
 /// g_commits[r] != 0: round r of the one-lane search commits.
