@@ -495,7 +495,7 @@ struct Search {
       ++calls;
     }
     if (met != nullptr) {
-      met->set("locmps.locbs_calls", static_cast<double>(calls));
+      met->add("locmps.locbs_calls", static_cast<double>(calls));
       met->sample("locmps.best_makespan", best_run.makespan);
     }
     if (obs::wants_events(obs))

@@ -475,7 +475,7 @@ constexpr SearchRow kSearch[] = {
     {"ccsd-t1-8-32", 16, "loc-mps", "no_overlap", 0x4b437e2a1339fe70ull, 240, 11, 2, 9, 6, 3, 35, 180, 228},
     {"strassen-512", 16, "loc-mps", "", 0xb1d4e2a8a7471cfdull, 355, 16, 8, 8, 6, 2, 104, 216, 338},
     {"synthetic-1024", 64, "loc-mps", "plan_budget=8", 0x7d8d4c37d7099d89ull, 11, 1, 1, 0, 0, 0, 7, 0, 10},
-    {"fig06", 16, "loc-mps", "faults", 0x3951f8ddf03191c3ull, 10927, 496, 78, 418, 382, 36, 9869, 51, 401},
+    {"fig06", 16, "loc-mps", "faults", 0x3951f8ddf03191c3ull, 10927, 496, 78, 418, 382, 36, 9869, 51, 10426},
     {"fig06", 16, "loc-mps", "marks_bind_lookahead=0", 0x1ce940e2c369abc0ull, 7571, 344, 43, 301, 293, 8, 6872, 8, 7226},
     {"fig06", 1, "loc-mps", "", 0xc4fbf131a518aac9ull, 3, 0, 0, 0, 0, 0, 0, 0, 2},
     {"synthetic-1", 16, "loc-mps", "", 0xdb937a5c6048a7e4ull, 20, 1, 1, 0, 0, 0, 15, 0, 18},

@@ -296,6 +296,13 @@ TEST(Recovery, AccountingReconcilesAcrossAllThreeBooks) {
   // The trace's fault windows are exactly the announced failures.
   EXPECT_EQ(digest.fault_windows.size(),
             static_cast<std::size_t>(snap.counter("fault.procs_failed")));
+  // The planner's books add up over the initial plan and every replan:
+  // the LoCBS passes are the charged calls less one per round
+  // (docs/observability.md).
+  EXPECT_GT(r.replans, 0u);
+  EXPECT_EQ(snap.counter("locbs.calls"),
+            snap.counter("locmps.locbs_calls") -
+                snap.counter("locmps.rounds"));
 }
 
 TEST(Recovery, JoinFaultPlanExposesSortedWindows) {
