@@ -5,7 +5,8 @@
 #
 # `asan` (the default) uses the `asan-ubsan` CMake preset (build dir:
 # build-asan); `tsan` uses the `tsan` preset (build dir: build-tsan) to
-# race-check the code that starts threads (compare_schemes' worker grid).
+# race-check the code that starts threads: compare_schemes' worker grid
+# and LoC-MPS's look-ahead lanes on their helper pool (LocMPSLanes.*).
 # Benches and examples are skipped in both to keep the instrumented builds
 # fast. Any extra arguments are forwarded to ctest, e.g. `-R Obs` to scope
 # the run.

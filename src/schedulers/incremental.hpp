@@ -18,9 +18,9 @@
 /// from-scratch path (LocMPSOptions::incremental = false) serves as the
 /// differential-equivalence oracle (tests/test_incremental).
 ///
-/// One IncrementalContext serves one evaluation stream: one stream per
-/// lane of a LoC-MPS run (lanes.hpp), whose walks run on one thread at a
-/// time, so no locking is needed and replay decisions stay
+/// One IncrementalContext serves one evaluation stream: a LoC-MPS run
+/// keeps one stream per thread that walks its look-ahead lanes
+/// (lanes.hpp), so no locking is needed and replay decisions stay
 /// bit-deterministic.
 
 #include <cstdint>
@@ -86,8 +86,8 @@ struct IncrementalContext {
   /// the steps it scans, so the record holds exactly one evaluation and
   /// reuses the step buffers. A pass that throws leaves the record
   /// half-overwritten; the context must then be discarded, as LoC-MPS's
-  /// is with the exception, or a lane's when the throw was in a round the
-  /// fold drops.
+  /// is with the exception, or a walking thread's when the throw was in a
+  /// round the fold drops.
   std::vector<ReplayStep> steps;
 };
 

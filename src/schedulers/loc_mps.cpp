@@ -74,8 +74,8 @@ struct alignas(64) Lane {  // a cache line of its own: lanes write at once
 
 /// The lanes of a batch whose rounds will not revert, one bit per lane: a
 /// walk that adopted an allocation, or a lane that threw. Every round
-/// after the first such lane is dropped, so a lane stops at its next pass
-/// once an earlier lane's bit is set.
+/// after the first such lane is dropped, so once an earlier lane's bit is
+/// set a lane is not walked, or stops at its next pass.
 struct Settled {
   std::atomic<std::uint32_t> bits{0};
 
@@ -290,8 +290,8 @@ struct Search {
   }
 
   /// Alg. 1 steps 15-30: one look-ahead walk on \p lane, evaluated on its
-  /// stream, whose first refinement \p rf already widened \p np. Explores up to
-  /// look_ahead_depth refinements, or until the call budget runs out,
+  /// stream, whose first refinement \p rf already widened \p np. Explores
+  /// up to look_ahead_depth refinements, or until the call budget runs out,
   /// adopting every strict improvement over the incumbent and keeping its
   /// realization. In a batch it also stops once an earlier lane settled,
   /// which drops its round.

@@ -13,7 +13,8 @@
 /// locmps-lint's raw-mutex rule bans naked std synchronization primitives
 /// everywhere but this header. Code that needs a lock wraps the primitive
 /// here first, in a class that carries LOCMPS_CAPABILITY; the planner
-/// itself takes no locks.
+/// itself takes no locks (its look-ahead lanes synchronize through
+/// atomics, schedulers/lanes.cpp).
 ///
 /// Thread-compatible classes (safe from one thread at a time, externally
 /// synchronized or thread-private by design — obs::MetricsRegistry,
