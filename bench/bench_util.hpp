@@ -201,6 +201,7 @@ inline void dump_obs_run(const ObsOut& obs, const TaskGraph& g,
     ropt.subtitle = std::to_string(g.num_tasks()) + " tasks, " +
                     std::to_string(g.num_edges()) + " edges";
     ropt.profile = &prof;
+    ropt.counters = &run.counters;
     obs::write_html_report(html, g, run.schedule, run.analysis, ropt);
     std::cout << "obs: HTML post-mortem report -> " << obs.report << "\n";
   }

@@ -91,7 +91,7 @@ SchemeRun evaluate_scheme(const std::string& scheme, const TaskGraph& g,
   metrics.set("sim.makespan", executed.makespan);
 
   // Sink-side truncation (bounded JSONL trace) folds into the counters
-  // before the snapshot so the report and analysis join can surface it.
+  // before the snapshot so the report can surface it.
   if (obs.sink != nullptr && obs.sink->dropped() > 0)
     metrics.add("obs.trace.dropped",
                 static_cast<double>(obs.sink->dropped()));
@@ -108,15 +108,13 @@ SchemeRun evaluate_scheme(const std::string& scheme, const TaskGraph& g,
   run.schedule = std::move(executed.executed);
 
   // Post-mortem analytics under the same locality model the simulation
-  // charged, with backfill effectiveness joined from the run's counters.
+  // charged.
   obs::AnalysisOptions an;
   an.locality_volumes = run_sim.locality_volumes;
   {
     LOCMPS_SPAN(&obs, "harness.analyze");
     run.analysis = obs::analyze_schedule(g, run.schedule, comm, an);
   }
-  obs::join_backfill_stats(run.analysis, run.counters);
-  obs::join_event_health(run.analysis, run.counters);
   return run;
 }
 

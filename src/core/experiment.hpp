@@ -38,11 +38,13 @@ struct SchemeRun {
   Allocation allocation;
   Schedule schedule;
   /// Counters and sample series collected while planning and executing
-  /// this run (see docs/observability.md for the taxonomy).
+  /// this run (see docs/observability.md for the taxonomy). The reports
+  /// render the backfill accounting and dropped trace lines from here
+  /// (ReportOptions::counters, text_report's second argument).
   obs::MetricsSnapshot counters;
   /// Post-mortem analytics of the realized schedule (utilization, locality
-  /// breakdown, critical path, start-delay blame, backfill effectiveness),
-  /// computed under the same locality model the simulation used. Feed it to
+  /// breakdown, critical path, start-delay blame), computed under the same
+  /// locality model the simulation used. Feed it with `counters` to
   /// obs::write_html_report / obs::text_report for rendering.
   obs::ScheduleAnalysis analysis;
 };

@@ -283,59 +283,6 @@ ScheduleAnalysis analyze_schedule(const TaskGraph& g, const Schedule& s,
   return a;
 }
 
-void join_backfill_stats(ScheduleAnalysis& a, const MetricsSnapshot& snap) {
-  BackfillStats& bf = a.backfill;
-  bf.passes = snap.counter("locbs.calls");
-  bf.tasks_placed = snap.counter("locbs.tasks_placed");
-  bf.holes_scanned = snap.counter("locbs.holes_scanned");
-  bf.hits = snap.counter("locbs.backfill_hits");
-  bf.cutoffs = snap.counter("locbs.scan_cutoffs");
-  bf.present = bf.tasks_placed > 0.0;
-  if (bf.present) {
-    bf.hit_rate = bf.hits / bf.tasks_placed;
-    bf.prune_rate = bf.cutoffs / bf.tasks_placed;
-  }
-}
-
-void join_fault_stats(ScheduleAnalysis& a, const MetricsSnapshot& snap) {
-  FaultStats& f = a.faults;
-  f.injected = snap.counter("fault.injected");
-  f.procs_failed = snap.counter("fault.procs_failed");
-  f.kills = snap.counter("fault.kills");
-  f.transfer_timeouts = snap.counter("fault.transfer_timeouts");
-  f.wasted_proc_seconds = snap.counter("fault.wasted_proc_seconds");
-  f.retries = snap.counter("recovery.retries");
-  f.replans = snap.counter("recovery.replans");
-  f.masked_procs = snap.counter("recovery.masked_procs");
-  f.backoff_seconds = snap.counter("recovery.backoff_seconds");
-  f.rounds = snap.counter("recovery.rounds");
-  f.present = f.injected > 0.0;
-}
-
-void join_perturb_stats(ScheduleAnalysis& a, const MetricsSnapshot& snap) {
-  PerturbStats& p = a.perturb;
-  p.slowed_tasks = snap.counter("perturb.slowed_tasks");
-  p.stretch_seconds = snap.counter("perturb.stretch_seconds");
-  p.degraded_transfers = snap.counter("perturb.degraded_transfers");
-  p.link_delay_seconds = snap.counter("perturb.link_delay_seconds");
-  p.present = p.slowed_tasks > 0.0 || p.degraded_transfers > 0.0;
-}
-
-void join_mitigation_stats(ScheduleAnalysis& a, const MetricsSnapshot& snap) {
-  MitigationStats& m = a.mitigation;
-  m.stragglers = snap.counter("mitigation.stragglers");
-  m.speculations = snap.counter("mitigation.speculations");
-  m.spec_wins = snap.counter("mitigation.spec_wins");
-  m.spec_losses = snap.counter("mitigation.spec_losses");
-  m.replans = snap.counter("mitigation.replans");
-  m.wasted_seconds = snap.counter("mitigation.wasted_seconds");
-  m.present = m.stragglers > 0.0;
-}
-
-void join_event_health(ScheduleAnalysis& a, const MetricsSnapshot& snap) {
-  a.trace_dropped = snap.counter("obs.trace.dropped");
-}
-
 // ---------------------------------------------------------------------------
 // Decision-trace ingestion.
 

@@ -5,9 +5,10 @@
 /// time went, how much redistribution volume stayed local (the paper's
 /// central claim, Sections 3-4), why each task started when it did, and
 /// how the makespan decomposes along the critical chain. Optionally joins
-/// the PR-1 observability signals: backfill effectiveness from a
-/// MetricsSnapshot and per-task backfill flags from a JSONL decision
-/// trace (docs/observability.md documents the event taxonomy).
+/// per-task backfill flags from a JSONL decision trace
+/// (docs/observability.md documents the event taxonomy). The run's
+/// counters stay in its obs::MetricsSnapshot, which the report renders
+/// beside the analysis (obs/report.hpp).
 ///
 /// The analyzer is pure and read-only: it never mutates the schedule and
 /// costs O(V + E + P + B log B) where B is the number of busy windows.
@@ -20,7 +21,6 @@
 
 #include "graph/task_graph.hpp"
 #include "network/comm_model.hpp"
-#include "obs/metrics.hpp"
 #include "schedule/schedule.hpp"
 #include "schedule/schedule_dag.hpp"
 #include "schedule/timeline.hpp"
@@ -137,19 +137,6 @@ struct CriticalPathBreakdown {
   double makespan = 0.0;
 };
 
-/// Backfill effectiveness, joined from the run's "locbs.*" counters
-/// (join_backfill_stats) — absent for schemes that do not run LoCBS.
-struct BackfillStats {
-  bool present = false;
-  double passes = 0.0;         ///< locbs.calls
-  double tasks_placed = 0.0;   ///< locbs.tasks_placed (all passes)
-  double holes_scanned = 0.0;  ///< locbs.holes_scanned
-  double hits = 0.0;           ///< locbs.backfill_hits
-  double cutoffs = 0.0;        ///< locbs.scan_cutoffs
-  double hit_rate = 0.0;       ///< hits / tasks_placed
-  double prune_rate = 0.0;     ///< cutoffs / tasks_placed
-};
-
 /// One processor-failure window, for the report's fault timeline lane.
 /// Filled from a FaultPlan (faults/recovery.hpp join_fault_plan) or from
 /// the "fault.fail" events of a decision trace.
@@ -170,28 +157,6 @@ struct SlowdownWindow {
   double factor = 1.0;  ///< compute-stretch multiplier inside the window
 };
 
-/// Performance-fault exposure of the run, joined from the "perturb.*"
-/// counters (join_perturb_stats) — absent for unperturbed runs.
-struct PerturbStats {
-  bool present = false;
-  double slowed_tasks = 0.0;        ///< perturb.slowed_tasks
-  double stretch_seconds = 0.0;     ///< perturb.stretch_seconds
-  double degraded_transfers = 0.0;  ///< perturb.degraded_transfers
-  double link_delay_seconds = 0.0;  ///< perturb.link_delay_seconds
-};
-
-/// Straggler-mitigation accounting, joined from the "mitigation.*"
-/// counters (join_mitigation_stats) — absent when detection was off.
-struct MitigationStats {
-  bool present = false;
-  double stragglers = 0.0;      ///< mitigation.stragglers (detections)
-  double speculations = 0.0;    ///< mitigation.speculations (copies)
-  double spec_wins = 0.0;       ///< mitigation.spec_wins
-  double spec_losses = 0.0;     ///< mitigation.spec_losses
-  double replans = 0.0;         ///< mitigation.replans
-  double wasted_seconds = 0.0;  ///< mitigation.wasted_seconds
-};
-
 /// Monte-Carlo robustness digest, joined from a RobustnessReport
 /// (faults/robustness.hpp join_robustness) — absent (samples == 0) when
 /// no ensemble was run.
@@ -205,23 +170,6 @@ struct RobustnessSummary {
   double p95 = 0.0;
   double worst = 0.0;
   double p95_over_nominal = 1.0;
-};
-
-/// Fault-injection and recovery accounting, joined from the run's
-/// "fault.*" / "recovery.*" counters (join_fault_stats) — absent for
-/// fault-free runs.
-struct FaultStats {
-  bool present = false;
-  double injected = 0.0;           ///< fault.injected (plan events)
-  double procs_failed = 0.0;       ///< fault.procs_failed (observed onsets)
-  double kills = 0.0;              ///< fault.kills
-  double transfer_timeouts = 0.0;  ///< fault.transfer_timeouts
-  double wasted_proc_seconds = 0.0;  ///< fault.wasted_proc_seconds
-  double retries = 0.0;            ///< recovery.retries
-  double replans = 0.0;            ///< recovery.replans
-  double masked_procs = 0.0;       ///< recovery.masked_procs
-  double backoff_seconds = 0.0;    ///< recovery.backoff_seconds
-  double rounds = 0.0;             ///< recovery.rounds
 };
 
 /// Analyzer knobs.
@@ -251,26 +199,15 @@ struct ScheduleAnalysis {
   std::vector<TaskBlame> blame;  ///< one entry per task, by TaskId
   CriticalPathBreakdown critical_path;
 
-  BackfillStats backfill;
-
-  FaultStats faults;
   /// Failure windows of the run's FaultPlan, sorted by (fail_s, proc);
   /// empty for fault-free runs. Drawn as the Gantt fault lane.
   std::vector<FaultWindow> fault_windows;
 
-  PerturbStats perturb;
-  MitigationStats mitigation;
   RobustnessSummary robustness;
   /// Slowdown windows of the run's PerturbationPlan, sorted by
   /// (begin_s, proc); empty for unperturbed runs. Drawn as the Gantt
   /// straggler lanes.
   std::vector<SlowdownWindow> slowdown_windows;
-
-  /// Decision events discarded by a bounded sink that hit its cap
-  /// ("obs.trace.dropped", joined by join_event_health). Non-zero means
-  /// the decision trace is truncated; surfaced by locmps-inspect and the
-  /// HTML report footer.
-  double trace_dropped = 0.0;
 
   /// Blame entries with delay_s > 0, sorted by descending delay, at most
   /// \p n of them (the report's top-N blame table).
@@ -282,21 +219,6 @@ struct ScheduleAnalysis {
 ScheduleAnalysis analyze_schedule(const TaskGraph& g, const Schedule& s,
                                   const CommModel& comm,
                                   const AnalysisOptions& opt = {});
-
-/// Fills \p a.backfill from the run's "locbs.*" counters.
-void join_backfill_stats(ScheduleAnalysis& a, const MetricsSnapshot& snap);
-
-/// Fills \p a.faults from the run's "fault.*" / "recovery.*" counters.
-void join_fault_stats(ScheduleAnalysis& a, const MetricsSnapshot& snap);
-
-/// Fills \p a.perturb from the run's "perturb.*" counters.
-void join_perturb_stats(ScheduleAnalysis& a, const MetricsSnapshot& snap);
-
-/// Fills \p a.mitigation from the run's "mitigation.*" counters.
-void join_mitigation_stats(ScheduleAnalysis& a, const MetricsSnapshot& snap);
-
-/// Fills \p a.trace_dropped from the run's "obs.trace.dropped" counter.
-void join_event_health(ScheduleAnalysis& a, const MetricsSnapshot& snap);
 
 // ---------------------------------------------------------------------------
 // Decision-trace ingestion (the PR-1 JSONL stream).

@@ -141,6 +141,42 @@ void swatch(std::ostream& os, const char* color_var, const std::string& label) {
      << ")\"></span>" << label << "</span>";
 }
 
+/// One "label | value" row of an accounting table, in <td> cells (or <th>
+/// for a header row and the backfill table).
+void row(std::ostream& os, std::string_view label, const std::string& value,
+         const char* cell = "td") {
+  os << "<tr><" << cell << ">" << label << "</" << cell << "><" << cell
+     << " class=\"num\">" << value << "</" << cell << "></tr>\n";
+}
+
+/// The run's counters as the report reads them: 0 for one the run did not
+/// record, or when the caller passed none. A family's section shows when
+/// its counters say the run did that kind of work.
+class Counters {
+ public:
+  explicit Counters(const MetricsSnapshot* snap) : snap_(snap) {}
+
+  double operator()(std::string_view name) const {
+    return snap_ != nullptr ? snap_->counter(name) : 0.0;
+  }
+  /// \p name per LoCBS placement (a rate, shown when backfill()).
+  double per_placement(std::string_view name) const {
+    return (*this)(name) / (*this)("locbs.tasks_placed");
+  }
+
+  bool backfill() const { return (*this)("locbs.tasks_placed") > 0.0; }
+  bool faults() const { return (*this)("fault.injected") > 0.0; }
+  bool perturb() const {
+    return (*this)("perturb.slowed_tasks") > 0.0 ||
+           (*this)("perturb.degraded_transfers") > 0.0;
+  }
+  bool mitigation() const { return (*this)("mitigation.stragglers") > 0.0; }
+  double dropped() const { return (*this)("obs.trace.dropped"); }
+
+ private:
+  const MetricsSnapshot* snap_;
+};
+
 void render_gantt(std::ostream& os, const TaskGraph& g, const Schedule& s,
                   const ScheduleAnalysis& a, const ReportOptions& opt) {
   const std::size_t P = a.num_procs;
@@ -256,30 +292,21 @@ void render_gantt(std::ostream& os, const TaskGraph& g, const Schedule& s,
   os << "</svg>\n";
 }
 
-void render_faults(std::ostream& os, const ScheduleAnalysis& a) {
-  const FaultStats& fs = a.faults;
-  os << "<div class=\"panel\"><table>\n"
-     << "<tr><th>fault accounting</th><th class=\"num\">value</th></tr>\n"
-     << "<tr><td>failures injected</td><td class=\"num\">"
-     << fmt(fs.injected, 0) << "</td></tr>\n"
-     << "<tr><td>failures observed</td><td class=\"num\">"
-     << fmt(fs.procs_failed, 0) << "</td></tr>\n"
-     << "<tr><td>task kills</td><td class=\"num\">" << fmt(fs.kills, 0)
-     << "</td></tr>\n"
-     << "<tr><td>transfer timeouts</td><td class=\"num\">"
-     << fmt(fs.transfer_timeouts, 0) << "</td></tr>\n"
-     << "<tr><td>wasted proc-seconds</td><td class=\"num\">"
-     << fmt(fs.wasted_proc_seconds, 3) << "</td></tr>\n"
-     << "<tr><td>retries</td><td class=\"num\">" << fmt(fs.retries, 0)
-     << "</td></tr>\n"
-     << "<tr><td>backoff charged (s)</td><td class=\"num\">"
-     << fmt(fs.backoff_seconds, 3) << "</td></tr>\n"
-     << "<tr><td>degraded replans</td><td class=\"num\">"
-     << fmt(fs.replans, 0) << "</td></tr>\n"
-     << "<tr><td>processors masked</td><td class=\"num\">"
-     << fmt(fs.masked_procs, 0) << "</td></tr>\n"
-     << "<tr><td>recovery rounds</td><td class=\"num\">" << fmt(fs.rounds, 0)
-     << "</td></tr>\n</table>\n";
+void render_faults(std::ostream& os, const ScheduleAnalysis& a,
+                   const Counters& c) {
+  os << "<div class=\"panel\"><table>\n";
+  row(os, "fault accounting", "value", "th");
+  row(os, "failures injected", fmt(c("fault.injected"), 0));
+  row(os, "failures observed", fmt(c("fault.procs_failed"), 0));
+  row(os, "task kills", fmt(c("fault.kills"), 0));
+  row(os, "transfer timeouts", fmt(c("fault.transfer_timeouts"), 0));
+  row(os, "wasted proc-seconds", fmt(c("fault.wasted_proc_seconds"), 3));
+  row(os, "retries", fmt(c("recovery.retries"), 0));
+  row(os, "backoff charged (s)", fmt(c("recovery.backoff_seconds"), 3));
+  row(os, "degraded replans", fmt(c("recovery.replans"), 0));
+  row(os, "processors masked", fmt(c("recovery.masked_procs"), 0));
+  row(os, "recovery rounds", fmt(c("recovery.rounds"), 0));
+  os << "</table>\n";
   if (!a.fault_windows.empty()) {
     os << "<table>\n<tr><th>proc</th><th class=\"num\">failed (s)</th>"
           "<th class=\"num\">repaired (s)</th></tr>\n";
@@ -297,55 +324,47 @@ void render_faults(std::ostream& os, const ScheduleAnalysis& a) {
 
 /// Robustness panel: perturbation exposure, straggler mitigation
 /// accounting, and the Monte-Carlo makespan distribution (when scored).
-void render_robustness(std::ostream& os, const ScheduleAnalysis& a) {
+void render_robustness(std::ostream& os, const ScheduleAnalysis& a,
+                       const Counters& c) {
   os << "<div class=\"panel\">";
-  if (a.perturb.present) {
-    os << "<table>\n"
-       << "<tr><th>perturbation exposure</th><th class=\"num\">value</th>"
-          "</tr>\n"
-       << "<tr><td>tasks slowed</td><td class=\"num\">"
-       << fmt(a.perturb.slowed_tasks, 0) << "</td></tr>\n"
-       << "<tr><td>compute stretch (s)</td><td class=\"num\">"
-       << fmt(a.perturb.stretch_seconds, 3) << "</td></tr>\n"
-       << "<tr><td>transfers degraded</td><td class=\"num\">"
-       << fmt(a.perturb.degraded_transfers, 0) << "</td></tr>\n"
-       << "<tr><td>link delay (s)</td><td class=\"num\">"
-       << fmt(a.perturb.link_delay_seconds, 3) << "</td></tr>\n</table>\n";
+  if (c.perturb()) {
+    os << "<table>\n";
+    row(os, "perturbation exposure", "value", "th");
+    row(os, "tasks slowed", fmt(c("perturb.slowed_tasks"), 0));
+    row(os, "compute stretch (s)", fmt(c("perturb.stretch_seconds"), 3));
+    row(os, "transfers degraded", fmt(c("perturb.degraded_transfers"), 0));
+    row(os, "link delay (s)", fmt(c("perturb.link_delay_seconds"), 3));
+    os << "</table>\n";
   }
-  if (a.mitigation.present) {
-    os << "<table>\n"
-       << "<tr><th>straggler mitigation</th><th class=\"num\">value</th>"
-          "</tr>\n"
-       << "<tr><td>stragglers detected</td><td class=\"num\">"
-       << fmt(a.mitigation.stragglers, 0) << "</td></tr>\n"
-       << "<tr><td>speculative copies</td><td class=\"num\">"
-       << fmt(a.mitigation.speculations, 0) << "</td></tr>\n"
-       << "<tr><td>copy wins / losses</td><td class=\"num\">"
-       << fmt(a.mitigation.spec_wins, 0) << " / "
-       << fmt(a.mitigation.spec_losses, 0) << "</td></tr>\n"
-       << "<tr><td>degraded replans</td><td class=\"num\">"
-       << fmt(a.mitigation.replans, 0) << "</td></tr>\n"
-       << "<tr><td>mitigation waste (proc-s)</td><td class=\"num\">"
-       << fmt(a.mitigation.wasted_seconds, 3) << "</td></tr>\n</table>\n";
+  if (c.mitigation()) {
+    os << "<table>\n";
+    row(os, "straggler mitigation", "value", "th");
+    row(os, "stragglers detected", fmt(c("mitigation.stragglers"), 0));
+    row(os, "speculative copies", fmt(c("mitigation.speculations"), 0));
+    row(os, "copy wins / losses",
+        fmt(c("mitigation.spec_wins"), 0) + " / " +
+            fmt(c("mitigation.spec_losses"), 0));
+    row(os, "degraded replans", fmt(c("mitigation.replans"), 0));
+    row(os, "mitigation waste (proc-s)",
+        fmt(c("mitigation.wasted_seconds"), 3));
+    os << "</table>\n";
   }
   if (a.robustness.samples > 0) {
     const RobustnessSummary& r = a.robustness;
-    os << "<table>\n"
-       << "<tr><th>makespan distribution (" << r.samples
-       << " perturbed samples)</th><th class=\"num\">seconds</th></tr>\n"
-       << "<tr><td>nominal (unperturbed)</td><td class=\"num\">"
-       << fmt(r.nominal, 3) << "</td></tr>\n"
-       << "<tr><td>mean</td><td class=\"num\">" << fmt(r.mean, 3)
-       << "</td></tr>\n"
-       << "<tr><td>median [CI]</td><td class=\"num\">" << fmt(r.median, 3)
-       << " [" << fmt(r.median_lo, 3) << ", " << fmt(r.median_hi, 3)
-       << "]</td></tr>\n"
-       << "<tr><td>p95</td><td class=\"num\">" << fmt(r.p95, 3)
-       << "</td></tr>\n"
-       << "<tr><td>worst</td><td class=\"num\">" << fmt(r.worst, 3)
-       << "</td></tr>\n"
-       << "<tr><td>p95 / nominal</td><td class=\"num\">"
-       << fmt(r.p95_over_nominal, 3) << "x</td></tr>\n</table>\n";
+    os << "<table>\n";
+    row(os,
+        "makespan distribution (" + std::to_string(r.samples) +
+            " perturbed samples)",
+        "seconds", "th");
+    row(os, "nominal (unperturbed)", fmt(r.nominal, 3));
+    row(os, "mean", fmt(r.mean, 3));
+    row(os, "median [CI]",
+        fmt(r.median, 3) + " [" + fmt(r.median_lo, 3) + ", " +
+            fmt(r.median_hi, 3) + "]");
+    row(os, "p95", fmt(r.p95, 3));
+    row(os, "worst", fmt(r.worst, 3));
+    row(os, "p95 / nominal", fmt(r.p95_over_nominal, 3) + "x");
+    os << "</table>\n";
   }
   if (!a.slowdown_windows.empty()) {
     os << "<table>\n<tr><th>proc</th><th class=\"num\">slowed from (s)</th>"
@@ -597,29 +616,31 @@ void write_html_report(std::ostream& os, const TaskGraph& g,
     os << "<p class=\"subtitle\">" << xml_escape(opt.subtitle) << "</p>\n";
 
   const LocalityTotals& lt = a.locality;
+  const Counters c(opt.counters);
   os << "<div class=\"tiles\">\n";
   tile(os, fmt(a.makespan, 3) + " s", "makespan");
   tile(os, pct(a.mean_utilization), "mean utilization");
   tile(os, pct(lt.locality_fraction), "data locality");
   tile(os, mb(lt.remote_bytes), "remote volume");
   tile(os, std::to_string(a.holes.total_holes), "idle holes");
-  if (a.backfill.present) {
-    tile(os, pct(a.backfill.hit_rate), "backfill hit rate");
-    tile(os, pct(a.backfill.prune_rate), "scan prune rate");
+  if (c.backfill()) {
+    tile(os, pct(c.per_placement("locbs.backfill_hits")), "backfill hit rate");
+    tile(os, pct(c.per_placement("locbs.scan_cutoffs")), "scan prune rate");
   }
-  if (a.faults.present) {
-    tile(os, fmt(a.faults.kills, 0), "task kills");
-    tile(os, fmt(a.faults.wasted_proc_seconds, 2) + " s",
+  if (c.faults()) {
+    tile(os, fmt(c("fault.kills"), 0), "task kills");
+    tile(os, fmt(c("fault.wasted_proc_seconds"), 2) + " s",
          "wasted proc-time");
-    tile(os, fmt(a.faults.retries + a.faults.replans, 0),
+    tile(os, fmt(c("recovery.retries") + c("recovery.replans"), 0),
          "recovery actions");
   }
-  if (a.perturb.present)
-    tile(os, fmt(a.perturb.stretch_seconds + a.perturb.link_delay_seconds,
+  if (c.perturb())
+    tile(os, fmt(c("perturb.stretch_seconds") +
+                     c("perturb.link_delay_seconds"),
                  2) + " s",
          "perturbation delay");
-  if (a.mitigation.present)
-    tile(os, fmt(a.mitigation.stragglers, 0), "stragglers mitigated");
+  if (c.mitigation())
+    tile(os, fmt(c("mitigation.stragglers"), 0), "stragglers mitigated");
   if (a.robustness.samples > 0)
     tile(os, fmt(a.robustness.p95_over_nominal, 2) + "x",
          "p95 / nominal makespan");
@@ -656,31 +677,32 @@ void write_html_report(std::ostream& os, const TaskGraph& g,
   os << "<h2>Idle-hole histogram</h2>\n";
   render_holes(os, a);
 
-  if (a.backfill.present) {
-    os << "<h2>Backfill effectiveness</h2>\n<div class=\"panel\"><table>\n"
-       << "<tr><th>LoCBS passes</th><th class=\"num\">"
-       << fmt(a.backfill.passes, 0) << "</th></tr>\n"
-       << "<tr><th>tasks placed (all passes)</th><th class=\"num\">"
-       << fmt(a.backfill.tasks_placed, 0) << "</th></tr>\n"
-       << "<tr><th>holes scanned</th><th class=\"num\">"
-       << fmt(a.backfill.holes_scanned, 0) << "</th></tr>\n"
-       << "<tr><th>backfill hits</th><th class=\"num\">"
-       << fmt(a.backfill.hits, 0) << " (" << pct(a.backfill.hit_rate)
-       << ")</th></tr>\n"
-       << "<tr><th>scan cutoffs</th><th class=\"num\">"
-       << fmt(a.backfill.cutoffs, 0) << " (" << pct(a.backfill.prune_rate)
-       << ")</th></tr>\n</table></div>\n";
+  if (c.backfill()) {
+    os << "<h2>Backfill effectiveness</h2>\n<div class=\"panel\"><table>\n";
+    row(os, "LoCBS passes", fmt(c("locbs.calls"), 0), "th");
+    row(os, "tasks placed (all passes)", fmt(c("locbs.tasks_placed"), 0),
+        "th");
+    row(os, "holes scanned", fmt(c("locbs.holes_scanned"), 0), "th");
+    row(os, "backfill hits",
+        fmt(c("locbs.backfill_hits"), 0) + " (" +
+            pct(c.per_placement("locbs.backfill_hits")) + ")",
+        "th");
+    row(os, "scan cutoffs",
+        fmt(c("locbs.scan_cutoffs"), 0) + " (" +
+            pct(c.per_placement("locbs.scan_cutoffs")) + ")",
+        "th");
+    os << "</table></div>\n";
   }
 
-  if (a.faults.present || !a.fault_windows.empty()) {
+  if (c.faults() || !a.fault_windows.empty()) {
     os << "<h2>Fault timeline and recovery accounting</h2>\n";
-    render_faults(os, a);
+    render_faults(os, a, c);
   }
 
-  if (a.perturb.present || a.mitigation.present ||
-      a.robustness.samples > 0 || !a.slowdown_windows.empty()) {
+  if (c.perturb() || c.mitigation() || a.robustness.samples > 0 ||
+      !a.slowdown_windows.empty()) {
     os << "<h2>Robustness under performance faults</h2>\n";
-    render_robustness(os, a);
+    render_robustness(os, a, c);
   }
 
   if (opt.decisions != nullptr) {
@@ -696,8 +718,8 @@ void write_html_report(std::ostream& os, const TaskGraph& g,
   os << "<p class=\"footer\">Generated by locmps schedule analytics "
         "(docs/observability.md). "
      << a.num_tasks << " tasks on " << a.num_procs << " processors.";
-  if (a.trace_dropped > 0.0)
-    os << " WARNING: " << fmt(a.trace_dropped, 0)
+  if (c.dropped() > 0.0)
+    os << " WARNING: " << fmt(c.dropped(), 0)
        << " decision event(s) dropped at the JSONL sink's line cap — the "
           "on-disk trace is truncated.";
   os << "</p>\n";
@@ -711,7 +733,9 @@ std::string html_report(const TaskGraph& g, const Schedule& s,
   return os.str();
 }
 
-std::string text_report(const ScheduleAnalysis& a) {
+std::string text_report(const ScheduleAnalysis& a,
+                        const MetricsSnapshot* counters) {
+  const Counters c(counters);
   const LocalityTotals& lt = a.locality;
   const CriticalPathBreakdown& cp = a.critical_path;
   std::ostringstream os;
@@ -738,28 +762,29 @@ std::string text_report(const ScheduleAnalysis& a) {
   }
   os << "start blame     " << data << " data-bound, " << proc
      << " processor-bound, " << backfill << " backfill-displaced task(s)\n";
-  if (a.faults.present)
-    os << "faults          " << fmt(a.faults.procs_failed, 0)
-       << " processor failure(s), " << fmt(a.faults.kills, 0)
-       << " task kill(s) (" << fmt(a.faults.transfer_timeouts, 0)
-       << " transfer timeout(s)), " << fmt(a.faults.wasted_proc_seconds, 3)
-       << " proc-seconds wasted; recovery: " << fmt(a.faults.retries, 0)
-       << " retry(ies), " << fmt(a.faults.replans, 0)
-       << " degraded replan(s), " << fmt(a.faults.masked_procs, 0)
-       << " proc(s) masked in " << fmt(a.faults.rounds, 0) << " round(s)\n";
-  if (a.perturb.present)
-    os << "perturbation    " << fmt(a.perturb.slowed_tasks, 0)
-       << " task(s) slowed (+" << fmt(a.perturb.stretch_seconds, 3)
-       << " s stretch), " << fmt(a.perturb.degraded_transfers, 0)
-       << " transfer(s) degraded (+" << fmt(a.perturb.link_delay_seconds, 3)
-       << " s link delay)\n";
-  if (a.mitigation.present)
-    os << "mitigation      " << fmt(a.mitigation.stragglers, 0)
-       << " straggler(s): " << fmt(a.mitigation.speculations, 0)
-       << " speculative cop(ies) (" << fmt(a.mitigation.spec_wins, 0)
-       << " won, " << fmt(a.mitigation.spec_losses, 0) << " lost), "
-       << fmt(a.mitigation.replans, 0) << " replan(s), "
-       << fmt(a.mitigation.wasted_seconds, 3) << " proc-seconds wasted\n";
+  if (c.faults())
+    os << "faults          " << fmt(c("fault.procs_failed"), 0)
+       << " processor failure(s), " << fmt(c("fault.kills"), 0)
+       << " task kill(s) (" << fmt(c("fault.transfer_timeouts"), 0)
+       << " transfer timeout(s)), " << fmt(c("fault.wasted_proc_seconds"), 3)
+       << " proc-seconds wasted; recovery: " << fmt(c("recovery.retries"), 0)
+       << " retry(ies), " << fmt(c("recovery.replans"), 0)
+       << " degraded replan(s), " << fmt(c("recovery.masked_procs"), 0)
+       << " proc(s) masked in " << fmt(c("recovery.rounds"), 0)
+       << " round(s)\n";
+  if (c.perturb())
+    os << "perturbation    " << fmt(c("perturb.slowed_tasks"), 0)
+       << " task(s) slowed (+" << fmt(c("perturb.stretch_seconds"), 3)
+       << " s stretch), " << fmt(c("perturb.degraded_transfers"), 0)
+       << " transfer(s) degraded (+"
+       << fmt(c("perturb.link_delay_seconds"), 3) << " s link delay)\n";
+  if (c.mitigation())
+    os << "mitigation      " << fmt(c("mitigation.stragglers"), 0)
+       << " straggler(s): " << fmt(c("mitigation.speculations"), 0)
+       << " speculative cop(ies) (" << fmt(c("mitigation.spec_wins"), 0)
+       << " won, " << fmt(c("mitigation.spec_losses"), 0) << " lost), "
+       << fmt(c("mitigation.replans"), 0) << " replan(s), "
+       << fmt(c("mitigation.wasted_seconds"), 3) << " proc-seconds wasted\n";
   if (a.robustness.samples > 0)
     os << "robustness      " << a.robustness.samples
        << " perturbed sample(s): median " << fmt(a.robustness.median, 3)
@@ -768,13 +793,14 @@ std::string text_report(const ScheduleAnalysis& a) {
        << fmt(a.robustness.p95, 3) << " s ("
        << fmt(a.robustness.p95_over_nominal, 3) << "x nominal), worst "
        << fmt(a.robustness.worst, 3) << " s\n";
-  if (a.backfill.present)
-    os << "backfill        " << fmt(a.backfill.hits, 0) << "/"
-       << fmt(a.backfill.tasks_placed, 0) << " placements backfilled ("
-       << pct(a.backfill.hit_rate) << "), " << fmt(a.backfill.holes_scanned, 0)
-       << " holes scanned, prune rate " << pct(a.backfill.prune_rate) << "\n";
-  if (a.trace_dropped > 0.0)
-    os << "trace           WARNING: " << fmt(a.trace_dropped, 0)
+  if (c.backfill())
+    os << "backfill        " << fmt(c("locbs.backfill_hits"), 0) << "/"
+       << fmt(c("locbs.tasks_placed"), 0) << " placements backfilled ("
+       << pct(c.per_placement("locbs.backfill_hits")) << "), "
+       << fmt(c("locbs.holes_scanned"), 0) << " holes scanned, prune rate "
+       << pct(c.per_placement("locbs.scan_cutoffs")) << "\n";
+  if (c.dropped() > 0.0)
+    os << "trace           WARNING: " << fmt(c.dropped(), 0)
        << " decision event(s) dropped (JSONL sink line cap)\n";
   return os.str();
 }

@@ -8,6 +8,11 @@
 ///    test suite can parse it;
 ///  * a plain-text summary for terminals and logs.
 ///
+/// Both render the run's counters (the backfill, fault, perturbation and
+/// mitigation accounting and the trace's dropped lines) straight from its
+/// MetricsSnapshot, so each number has one source; a section whose
+/// counters are absent or zero is left out.
+///
 /// Producers: `locmps-inspect` (tools/inspect.cpp) and the bench
 /// harness's `--report-out` flag (bench/bench_util.hpp).
 
@@ -18,6 +23,7 @@
 
 #include "graph/task_graph.hpp"
 #include "obs/analysis.hpp"
+#include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/provenance.hpp"
 #include "schedule/schedule.hpp"
@@ -37,6 +43,10 @@ struct ReportOptions {
   /// trace), indexed by TaskId; non-null adds the "Why" panel and turns
   /// each Gantt slice into a link to its task's decision record.
   const std::vector<PlacementDecision>* decisions = nullptr;
+  /// The run's counters; non-null adds the backfill, fault, perturbation
+  /// and mitigation tiles and panels their counters call for, and the
+  /// footer's dropped-trace warning.
+  const MetricsSnapshot* counters = nullptr;
 };
 
 /// Writes the HTML report for \p a (computed from \p g and \p s).
@@ -52,8 +62,10 @@ std::string html_report(const TaskGraph& g, const Schedule& s,
                         const ScheduleAnalysis& a,
                         const ReportOptions& opt = {});
 
-/// Multi-line plain-text summary of \p a.
-std::string text_report(const ScheduleAnalysis& a);
+/// Multi-line plain-text summary of \p a, plus the lines \p counters
+/// call for (as ReportOptions::counters).
+std::string text_report(const ScheduleAnalysis& a,
+                        const MetricsSnapshot* counters = nullptr);
 
 /// Escapes &, <, >, " and ' for XML/XHTML text and attribute content.
 std::string xml_escape(std::string_view in);

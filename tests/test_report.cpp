@@ -131,6 +131,52 @@ TEST(Report, TextSummaryMentionsEverySection) {
   }
 }
 
+/// The backfill, fault, perturbation and mitigation sections come from the
+/// run's counters: present with a snapshot that records that work, absent
+/// without one. Rates are per LoCBS placement.
+TEST(Report, CountersDriveTheAccountingSections) {
+  const ReportFixture f;
+  obs::MetricsSnapshot counters;
+  counters.counters = {{"fault.injected", 2.0},
+                       {"fault.kills", 3.0},
+                       {"locbs.backfill_hits", 1.0},
+                       {"locbs.calls", 1.0},
+                       {"locbs.scan_cutoffs", 2.0},
+                       {"locbs.tasks_placed", 4.0},
+                       {"mitigation.stragglers", 1.0},
+                       {"perturb.slowed_tasks", 1.0},
+                       {"recovery.replans", 1.0},
+                       {"recovery.retries", 2.0}};
+  obs::ReportOptions with;
+  with.counters = &counters;
+  const std::string html = obs::html_report(f.g, f.s, f.a, with);
+  EXPECT_NO_THROW(test::parse_xhtml_report(html));
+  const std::string plain = obs::html_report(f.g, f.s, f.a);
+  for (const char* label :
+       {"backfill hit rate", "Backfill effectiveness", "task kills",
+        "recovery actions", "Fault timeline and recovery accounting",
+        "perturbation delay", "stragglers mitigated",
+        "Robustness under performance faults"}) {
+    EXPECT_NE(html.find(label), std::string::npos) << label;
+    EXPECT_EQ(plain.find(label), std::string::npos) << label;
+  }
+  // Hit rate 1/4, prune rate 2/4, recovery actions 2 + 1.
+  EXPECT_NE(html.find("<div class=\"v\">25.0%</div><div class=\"l\">"
+                      "backfill hit rate"),
+            std::string::npos);
+  EXPECT_NE(html.find("<div class=\"v\">3</div><div class=\"l\">"
+                      "recovery actions"),
+            std::string::npos);
+
+  const std::string txt = obs::text_report(f.a, &counters);
+  for (const char* line :
+       {"faults          ", "perturbation    ", "mitigation      ",
+        "backfill        1/4 placements backfilled (25.0%)"}) {
+    EXPECT_NE(txt.find(line), std::string::npos) << line;
+    EXPECT_EQ(obs::text_report(f.a).find(line), std::string::npos) << line;
+  }
+}
+
 /// Acceptance check: on a fig06-style workload the HTML report's
 /// aggregate local/remote volumes must exactly match the comm-model
 /// counters from the decision trace of the same run.

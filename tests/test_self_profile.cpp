@@ -294,13 +294,16 @@ TEST(Report, RendersProfilePanelAndDroppedEventsFooter) {
   s.place(ta, 0.0, 0.0, 10.0, ProcessorSet::of(4, {0}));
   s.place(tb, 15.0, 15.0, 25.0, ProcessorSet::of(4, {1}));
   const Cluster cluster(4, 1e6);
-  obs::ScheduleAnalysis a = obs::analyze_schedule(g, s, CommModel(cluster));
-  a.trace_dropped = 7.0;
+  const obs::ScheduleAnalysis a =
+      obs::analyze_schedule(g, s, CommModel(cluster));
+  obs::MetricsSnapshot counters;
+  counters.counters = {{"obs.trace.dropped", 7.0}};
 
   const obs::ProfileSnapshot snap = golden_snapshot();
   obs::ReportOptions opt;
   opt.title = "profile panel fixture";
   opt.profile = &snap;
+  opt.counters = &counters;
   const std::string html = obs::html_report(g, s, a, opt);
   const test::Xml root = test::parse_xhtml_report(html);
   EXPECT_NE(root.find_by_id("profile-table"), nullptr);
@@ -311,7 +314,7 @@ TEST(Report, RendersProfilePanelAndDroppedEventsFooter) {
   EXPECT_NE(html.find("harness.plan"), std::string::npos);
   // Dropped decision events must be visible in both renderings.
   EXPECT_NE(html.find("dropped"), std::string::npos);
-  EXPECT_NE(obs::text_report(a).find("dropped"), std::string::npos);
+  EXPECT_NE(obs::text_report(a, &counters).find("dropped"), std::string::npos);
 
   // Without a profile (or with an empty one) the panel is absent.
   obs::ReportOptions bare;

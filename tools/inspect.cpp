@@ -560,7 +560,6 @@ int run_robustness_mode(const Options& o, const TaskGraph& g,
 
   obs::ScheduleAnalysis a = obs::analyze_schedule(g, plan.schedule, comm);
   const obs::MetricsSnapshot snap = met.snapshot();
-  obs::join_event_health(a, snap);
   join_robustness(a, rep);
 
   Books book{"report"};
@@ -585,10 +584,11 @@ int run_robustness_mode(const Options& o, const TaskGraph& g,
                 << rep.samples << " samples)\n";
   }
 
-  if (!o.quiet) std::cout << obs::text_report(a);
+  if (!o.quiet) std::cout << obs::text_report(a, &snap);
 
   if (!o.report_out.empty()) {
     obs::ReportOptions ro;
+    ro.counters = &snap;
     std::ostringstream sub;
     sub << g.num_tasks() << " tasks, slack " << fmt(o.slack, 2) << ", "
         << rep.samples << " perturbed samples, p95 "
@@ -662,10 +662,6 @@ int run_straggler_mode(const Options& o, const TaskGraph& g,
 
   obs::ScheduleAnalysis a = obs::analyze_schedule(g, res.executed, comm);
   const obs::MetricsSnapshot snap = met.snapshot();
-  obs::join_backfill_stats(a, snap);
-  obs::join_perturb_stats(a, snap);
-  obs::join_mitigation_stats(a, snap);
-  obs::join_event_health(a, snap);
   join_perturbation(a, plan);
 
   Books book{"result"};
@@ -708,11 +704,12 @@ int run_straggler_mode(const Options& o, const TaskGraph& g,
               << " s, recovered " << fmt(res.makespan, 3) << " s ("
               << fmt(res.makespan / std::max(1e-9, res.planned_makespan), 3)
               << "x)\n";
-    std::cout << obs::text_report(a);
+    std::cout << obs::text_report(a, &snap);
   }
 
   if (!o.report_out.empty()) {
     obs::ReportOptions ropt;
+    ropt.counters = &snap;
     std::ostringstream sub;
     sub << g.num_tasks() << " tasks, " << fmt(o.slow_factor, 2)
         << "x slowdown, detect at " << fmt(o.straggler_rate, 2)
@@ -792,9 +789,6 @@ int run_fault_mode(const Options& o, const TaskGraph& g,
 
   obs::ScheduleAnalysis a = obs::analyze_schedule(g, res.executed, comm);
   const obs::MetricsSnapshot snap = met.snapshot();
-  obs::join_backfill_stats(a, snap);
-  obs::join_fault_stats(a, snap);
-  obs::join_event_health(a, snap);
   join_fault_plan(a, plan);
 
   Books book{"result"};
@@ -832,10 +826,11 @@ int run_fault_mode(const Options& o, const TaskGraph& g,
                    "result; analyzer remote volume == sim counters\n";
   }
 
-  if (!o.quiet) std::cout << obs::text_report(a);
+  if (!o.quiet) std::cout << obs::text_report(a, &snap);
 
   if (!o.report_out.empty()) {
     obs::ReportOptions ropt;
+    ropt.counters = &snap;
     std::ostringstream sub;
     sub << g.num_tasks() << " tasks, fault rate " << fmt(o.fault_rate, 2)
         << ", policy " << o.fault_policy << ", realized makespan "
@@ -917,7 +912,7 @@ int main(int argc, char** argv) {
                 << g.num_tasks() << "-task workload\n";
       std::cout << "planning        " << fmt(run.scheduling_seconds, 6)
                 << " s\n";
-      std::cout << obs::text_report(run.analysis);
+      std::cout << obs::text_report(run.analysis, &run.counters);
     }
 
     for (TaskId t : o.explain) {
@@ -1015,6 +1010,7 @@ int main(int argc, char** argv) {
           << (o.overlap ? "overlap" : "no-overlap") << " platform";
       ropt.subtitle = sub.str();
       if (!prof_snap.empty()) ropt.profile = &prof_snap;
+      ropt.counters = &run.counters;
       if (decisions.size() == g.num_tasks()) ropt.decisions = &decisions;
       if (!write_report(o, g, run.schedule, run.analysis, ropt,
                         o.scheme + " schedule on " +
