@@ -5,14 +5,18 @@
 /// seeded synthetic DAG), runs the analytics of obs/analysis.hpp over the
 /// realized schedule, and renders the result as a terminal summary and —
 /// with --report-out — a self-contained HTML report (obs/report.hpp).
-/// With --obs-out the run also streams the PR-1 JSONL decision trace,
-/// reads it back, joins it into the analysis (backfill attribution) and
-/// cross-checks the analyzer's aggregate local/remote redistribution
-/// volumes against the run's comm-model counters and the trace.
-/// With --fault-rate the run executes under injected fail-stop processor
-/// failures (src/faults/), recovers with the selected policy, and the
-/// cross-check additionally reconciles the "fault.*"/"recovery.*" counters
-/// against the decision trace and the RecoveryResult.
+/// With --fault-rate, --straggler-rate or --robustness the run executes
+/// instead under injected fail-stop failures, a seeded processor slowdown
+/// or an ensemble of perturbations (src/faults/).
+///
+/// Each mode only produces its executed schedule, its analysis, the run's
+/// counters, its header lines and its three-book rows (ModeRun); one tail
+/// (finish) serves them all. With --obs-out the run streams the JSONL
+/// decision trace; the tail reads it back once (or an existing --trace),
+/// joins it into the analysis (backfill attribution) and checks each
+/// quantity the mode names across three books: the counters, the trace
+/// and the run's own result. Then it prints the summary, the --explain
+/// and --why-critical records and writes the report.
 ///
 /// Usage: see usage() below or `locmps-inspect --help`.
 
@@ -20,6 +24,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -381,10 +386,9 @@ TaskGraph load_workload(const Options& o) {
   return make_synthetic_dag(p, rng);
 }
 
-/// The --obs-out JSONL trace of a metered mode: attaches a sink to the
-/// mode's context and, on close(), folds the lines the sink dropped into
-/// "obs.trace.dropped". The context holds the sink's address, so it
-/// neither copies nor moves.
+/// The --obs-out JSONL trace, opened once for whichever mode runs. The
+/// modes attach sink() to their runs; the run's context holds the sink's
+/// address, so a TraceOut neither copies nor moves.
 class TraceOut {
  public:
   TraceOut() = default;
@@ -393,7 +397,7 @@ class TraceOut {
 
   /// Opens \p path (nothing when empty); false, after the error, when it
   /// cannot be opened.
-  bool open(const std::string& path, obs::ObsContext& ctx) {
+  bool open(const std::string& path) {
     if (path.empty()) return true;
     jsonl_.open(path);
     if (!jsonl_) {
@@ -401,13 +405,23 @@ class TraceOut {
       return false;
     }
     sink_.emplace(jsonl_);
-    ctx.sink = &*sink_;
     return true;
   }
 
-  void close(obs::MetricsRegistry& met) {
+  /// The sink to attach, or null without --obs-out.
+  obs::EventSink* sink() { return sink_ ? &*sink_ : nullptr; }
+
+  /// \p met's counters with the lines the sink dropped folded into
+  /// "obs.trace.dropped", for the modes that meter their own run (the
+  /// plain mode's harness, evaluate_scheme, folds its own).
+  obs::MetricsSnapshot counters(obs::MetricsRegistry& met) const {
     if (sink_ && sink_->dropped() > 0)
       met.add("obs.trace.dropped", static_cast<double>(sink_->dropped()));
+    return met.snapshot();
+  }
+
+  /// Flushes and closes the trace so it can be read back.
+  void close() {
     sink_.reset();
     jsonl_.close();
   }
@@ -417,19 +431,25 @@ class TraceOut {
   std::optional<obs::JsonlSink> sink_;
 };
 
-/// Reconciles one quantity across three independent books: the metrics
-/// counter, the decision trace, and the run's own \p third book. A
-/// disagreement prints and clears `ok`.
+/// True when \p x agrees with \p y and \p z to 1e-9 of the largest.
+bool agree(double x, double y, double z) {
+  const double tol =
+      1e-9 * std::max({1.0, std::fabs(x), std::fabs(y), std::fabs(z)});
+  return std::fabs(x - y) <= tol && std::fabs(x - z) <= tol;
+}
+
+/// Reconciles quantities across three independent books: the metrics
+/// counter, the decision trace, and the run's own `third` book. A
+/// disagreement prints and clears `ok`; when every row agrees the tail
+/// prints `agreed`.
 struct Books {
-  const char* third;
+  const char* third = "";
+  std::string agreed;
   bool ok = true;
 
   void operator()(const char* what, double counter, double traced,
                   double other) {
-    const double scale = std::max(
-        {1.0, std::fabs(counter), std::fabs(traced), std::fabs(other)});
-    if (std::fabs(counter - traced) > 1e-9 * scale ||
-        std::fabs(counter - other) > 1e-9 * scale) {
+    if (!agree(counter, traced, other)) {
       err() << what << " mismatch: counter " << counter << ", trace "
             << traced << ", " << third << " " << other;
       ok = false;
@@ -437,22 +457,26 @@ struct Books {
   }
 };
 
-/// Writes the --report-out HTML report of \p s, titled --title or else
-/// \p default_title; false, after the error, when the file cannot be
-/// opened.
-bool write_report(const Options& o, const TaskGraph& g, const Schedule& s,
-                  const obs::ScheduleAnalysis& a, obs::ReportOptions ro,
-                  const std::string& default_title) {
-  ro.title = !o.title.empty() ? o.title : default_title;
-  std::ofstream html(o.report_out);
-  if (!html) {
-    err() << "cannot open " << o.report_out;
-    return false;
-  }
-  obs::write_html_report(html, g, s, a, ro);
-  if (!o.quiet) std::cout << "report          " << o.report_out << "\n";
-  return true;
-}
+/// What a mode hands the shared tail (finish): its executed schedule, the
+/// schedule's analysis, the run's counters, the lines it prints before the
+/// summary, its three-book rows and its report's titles.
+struct ModeRun {
+  Schedule schedule;
+  obs::ScheduleAnalysis analysis;
+  obs::MetricsSnapshot counters;
+  /// Printed after the reconciliation, before the summary.
+  std::string intro;
+  /// The mode's rows, checked against the digest of the run's trace.
+  std::function<void(Books&, const obs::TraceSummary&)> reconcile;
+  std::string title;  ///< the report's title unless --title
+  std::string subtitle;
+  // The plain mode's extras: its report links each slice to the task's
+  // decision record, and its planner profile reconciles with the
+  // measured planning time.
+  bool why_panel = false;
+  obs::ProfileSnapshot profile;
+  double planning_s = 0.0;
+};
 
 /// `--diff A B`: aligns two decision traces of this workload's graph,
 /// classifies every divergence and attributes the makespan delta to
@@ -481,37 +505,189 @@ int run_diff_mode(const Options& o, const TaskGraph& g) {
   return 0;
 }
 
-/// Joins \p trace_path into \p run's analysis and cross-checks the
-/// analyzer's aggregate volumes against the trace and the run counters.
-/// Returns false (after printing the discrepancy) when they disagree.
-bool join_and_reconcile(SchemeRun& run, const std::string& trace_path,
-                        bool quiet) {
-  std::ifstream in(trace_path);
-  if (!in) {
-    err() << "cannot read trace " << trace_path;
-    return false;
+/// The tail every mode shares. Reads the run's JSONL trace (--obs-out,
+/// else --trace) once, joins it into the analysis (backfill attribution)
+/// and checks the mode's books against it; then prints the summary, the
+/// --explain and --why-critical records, the --profile tree and
+/// --flame-out stacks, and writes the --report-out report. Returns the
+/// process exit code.
+int finish(const Options& o, const TaskGraph& g, ModeRun& run,
+           TraceOut& trace) {
+  trace.close();
+  Books book;
+  // Final decision per task (last "locbs.decision" record), feeding
+  // --explain, --why-critical and the report's "Why" panel.
+  std::vector<obs::PlacementDecision> decisions;
+  const std::string& path = !o.obs_out.empty() ? o.obs_out : o.trace_in;
+  if (!path.empty()) {
+    std::ifstream in(path);
+    if (!in) {
+      err() << "cannot read trace " << path;
+      book.ok = false;
+    } else {
+      const auto records = obs::read_trace(in);
+      const auto digest = obs::summarize_trace(records, g.num_tasks());
+      obs::join_trace(run.analysis, digest);
+      run.reconcile(book, digest);
+      if (book.ok && !o.quiet)
+        std::cout << "reconciled      " << book.agreed << "\n";
+      decisions = obs::final_decisions(records, g.num_tasks());
+    }
   }
-  const auto records = obs::read_trace(in);
-  const auto digest = obs::summarize_trace(records, run.analysis.num_tasks);
-  obs::join_trace(run.analysis, digest);
 
-  const double analyzer = run.analysis.locality.remote_bytes;
-  const double counter = run.counters.counter("sim.remote_bytes");
-  const double traced = digest.transfer_bytes;
-  const double scale = std::max({1.0, analyzer, counter, traced});
-  const bool ok = std::abs(analyzer - counter) <= 1e-9 * scale &&
-                  std::abs(analyzer - traced) <= 1e-9 * scale;
-  if (!ok) {
-    err() << "remote-volume mismatch: analyzer " << analyzer
-          << " B, counter sim.remote_bytes " << counter << " B, trace "
-          << traced << " B";
-  } else if (!quiet) {
-    std::cout << "reconciled      analyzer remote volume == sim counters == "
-                 "trace ("
-              << fmt(analyzer / 1e6, 2) << " MB over "
-              << digest.transfer_events << " transfers)\n";
+  if (!o.quiet)
+    std::cout << run.intro << obs::text_report(run.analysis, &run.counters);
+
+  auto decision = [&](TaskId t) {
+    return t < decisions.size() ? decisions[t] : obs::PlacementDecision{};
+  };
+  for (TaskId t : o.explain) {
+    if (t >= g.num_tasks()) {
+      err() << "--explain task " << t << " out of range (graph has "
+            << g.num_tasks() << " tasks)";
+      return 2;
+    }
+    std::cout << "\nwhy task " << t << ":\n";
+    obs::print_decision(std::cout, g, decision(t));
   }
-  return ok;
+
+  if (o.why_critical) {
+    std::cout << "\nwhy-critical: decision records along the critical "
+                 "path (source -> makespan task)\n";
+    for (const obs::CriticalPathStep& st : run.analysis.critical_path.steps) {
+      std::cout << "\n-- compute " << fmt(st.compute_s, 4) << " s";
+      if (st.redist_s > 0.0)
+        std::cout << ", redistribution in " << fmt(st.redist_s, 4) << " s";
+      if (st.wait_s > 0.0) std::cout << ", wait " << fmt(st.wait_s, 4) << " s";
+      std::cout << "\n";
+      for (const obs::TaskBlame& b : run.analysis.blame) {
+        if (b.task != st.task || b.delay_s <= 0.0 || b.culprit == kNoTask)
+          continue;
+        std::cout << "   start delayed " << fmt(b.delay_s, 4)
+                  << " s by task " << b.culprit << " ("
+                  << g.task(b.culprit).name << ")\n";
+        break;
+      }
+      obs::print_decision(std::cout, g, decision(st.task));
+    }
+  }
+
+  bool profile_ok = true;
+  if (o.profile) {
+    std::cout << "\nplanner self-profile (span taxonomy: "
+                 "docs/observability.md)\n";
+    obs::write_profile_tree(std::cout, run.profile);
+    if (run.profile.intervals_dropped > 0)
+      std::cout << "dropped         " << run.profile.intervals_dropped
+                << " span intervals (the log keeps "
+                << obs::Profiler::kMaxIntervals
+                << " per span node; the counts above are complete)\n";
+    const obs::ProfileNode* plan = run.profile.find("harness.plan");
+    if (plan == nullptr) {
+      err() << "profile has no harness.plan span";
+      profile_ok = false;
+    } else {
+      // Acceptance check: the span tree must reconcile with the
+      // harness's own scheduling-time measurement within 2%.
+      const double measured = run.planning_s;
+      const double diff = std::fabs(plan->wall_s - measured);
+      const double tol = 0.02 * std::max(measured, 1e-9);
+      if (diff > tol) {
+        err() << "profile/stopwatch mismatch: harness.plan "
+              << fmt(plan->wall_s, 6) << " s vs scheduling time "
+              << fmt(measured, 6) << " s (diff " << fmt(diff, 6)
+              << " s > 2%)";
+        profile_ok = false;
+      } else {
+        std::cout << "reconciled      harness.plan " << fmt(plan->wall_s, 6)
+                  << " s == planning " << fmt(measured, 6)
+                  << " s (within 2%)\n";
+      }
+    }
+  }
+
+  if (!o.flame_out.empty()) {
+    std::ofstream flame(o.flame_out);
+    if (!flame) {
+      err() << "cannot open " << o.flame_out;
+      return 2;
+    }
+    obs::write_collapsed_stacks(flame, run.profile, o.flame_weight);
+    if (!o.quiet)
+      std::cout << "flamegraph      " << o.flame_out
+                << " (collapsed stacks; fold with flamegraph.pl or "
+                   "load in speedscope)\n";
+  }
+
+  if (!o.report_out.empty()) {
+    obs::ReportOptions ro;
+    ro.title = !o.title.empty() ? o.title : run.title;
+    ro.subtitle = run.subtitle;
+    if (!run.profile.empty()) ro.profile = &run.profile;
+    if (run.why_panel && decisions.size() == g.num_tasks())
+      ro.decisions = &decisions;
+    ro.counters = &run.counters;
+    std::ofstream html(o.report_out);
+    if (!html) {
+      err() << "cannot open " << o.report_out;
+      return 2;
+    }
+    obs::write_html_report(html, g, run.schedule, run.analysis, ro);
+    if (!o.quiet) std::cout << "report          " << o.report_out << "\n";
+  }
+  return book.ok && profile_ok ? 0 : 1;
+}
+
+/// The plain mode: plans and executes --scheme through the evaluation
+/// harness (traced with --obs-out, profiled with --profile, --flame-out or
+/// --report-out) and checks the analyzer's remote volume against the sim
+/// counters and the trace.
+int run_plain_mode(const Options& o, const TaskGraph& g,
+                   const Cluster& cluster, TraceOut& trace) {
+  SchedulerOptions sched_opt;
+  sched_opt.perturb_task = o.perturb_task;
+  sched_opt.slack_factor = o.slack;
+  std::optional<obs::Profiler> profiler;
+  if (o.profile || !o.flame_out.empty() || !o.report_out.empty())
+    profiler.emplace();
+  SchemeRun sr = evaluate_scheme(o.scheme, g, cluster, {}, trace.sink(),
+                                 sched_opt, profiler ? &*profiler : nullptr);
+
+  ModeRun run;
+  run.schedule = std::move(sr.schedule);
+  run.analysis = std::move(sr.analysis);
+  run.counters = std::move(sr.counters);
+  if (profiler) run.profile = profiler->snapshot();
+  run.planning_s = sr.scheduling_seconds;
+  run.why_panel = true;
+  std::ostringstream intro;
+  intro << "scheme          " << o.scheme << " on " << o.procs << " procs ("
+        << fmt(o.bandwidth_mbps, 0) << " Mbps, "
+        << (o.overlap ? "overlap" : "no overlap") << "), " << g.num_tasks()
+        << "-task workload\n"
+        << "planning        " << fmt(sr.scheduling_seconds, 6) << " s\n";
+  run.intro = intro.str();
+  run.reconcile = [&run](Books& book, const obs::TraceSummary& d) {
+    const double analyzer = run.analysis.locality.remote_bytes;
+    const double counter = run.counters.counter("sim.remote_bytes");
+    if (!agree(analyzer, counter, d.transfer_bytes)) {
+      err() << "remote-volume mismatch: analyzer " << analyzer
+            << " B, counter sim.remote_bytes " << counter << " B, trace "
+            << d.transfer_bytes << " B";
+      book.ok = false;
+    }
+    book.agreed = "analyzer remote volume == sim counters == trace (" +
+                  fmt(analyzer / 1e6, 2) + " MB over " +
+                  std::to_string(d.transfer_events) + " transfers)";
+  };
+  run.title = o.scheme + " schedule on " + std::to_string(o.procs) +
+              " processors";
+  std::ostringstream sub;
+  sub << g.num_tasks() << " tasks, " << g.num_edges() << " edges, "
+      << fmt(o.bandwidth_mbps, 0) << " Mbps "
+      << (o.overlap ? "overlap" : "no-overlap") << " platform";
+  run.subtitle = sub.str();
+  return finish(o, g, run, trace);
 }
 
 /// `--robustness N`: plans once (honoring --scheme and --slack), then
@@ -521,18 +697,14 @@ bool join_and_reconcile(SchemeRun& run, const std::string& trace_path,
 /// metrics counters, the trace events and the RobustnessReport. Returns
 /// the process exit code.
 int run_robustness_mode(const Options& o, const TaskGraph& g,
-                        const Cluster& cluster) {
+                        const Cluster& cluster, TraceOut& trace) {
   const CommModel comm(cluster);
-
   obs::MetricsRegistry met;
-  obs::ObsContext ctx{&met, nullptr};
-  TraceOut trace;
-  if (!trace.open(o.obs_out, ctx)) return 2;
+  obs::ObsContext ctx{&met, trace.sink()};
 
   SchedulerOptions sched_opt;
   sched_opt.slack_factor = o.slack;
-  const SchedulerPtr sched = make_scheduler(o.scheme, sched_opt);
-  const SchedulerResult plan = sched->schedule(g, cluster);
+  SchedulerResult plan = make_scheduler(o.scheme, sched_opt)->schedule(g, cluster);
 
   RobustnessOptions ropt;
   ropt.samples = o.robustness;
@@ -550,7 +722,6 @@ int run_robustness_mode(const Options& o, const TaskGraph& g,
   ropt.perturb.link_windows = 2;
   ropt.perturb.link_duration_s = 0.2 * span;
   const RobustnessReport rep = score_robustness(g, plan.schedule, comm, ropt);
-  trace.close(met);
 
   if (!o.quiet)
     std::cout << "robustness mode " << o.scheme << ", slack "
@@ -558,48 +729,49 @@ int run_robustness_mode(const Options& o, const TaskGraph& g,
               << " perturbed sample(s), slow-factor "
               << fmt(o.slow_factor, 2) << "\n";
 
-  obs::ScheduleAnalysis a = obs::analyze_schedule(g, plan.schedule, comm);
-  const obs::MetricsSnapshot snap = met.snapshot();
-  join_robustness(a, rep);
-
-  Books book{"report"};
-  if (!o.obs_out.empty()) {
-    std::ifstream in(o.obs_out);
-    if (!in) {
-      err() << "cannot read trace " << o.obs_out;
-      return 1;
-    }
-    const auto records = obs::read_trace(in);
-    const auto digest = obs::summarize_trace(records, a.num_tasks);
-    // Three books: the counters, the trace and the report must agree on
-    // the ensemble size, and counters/report on the distribution summary.
-    book("robust.samples", snap.counter("robust.samples"),
-         static_cast<double>(digest.robust_samples),
+  ModeRun run;
+  run.schedule = std::move(plan.schedule);
+  run.counters = trace.counters(met);
+  run.analysis = obs::analyze_schedule(g, run.schedule, comm);
+  join_robustness(run.analysis, rep);
+  run.reconcile = [&](Books& book, const obs::TraceSummary& d) {
+    // The counters, the trace and the report must agree on the ensemble
+    // size, and counters/report on the distribution summary.
+    book.third = "report";
+    book("robust.samples", run.counters.counter("robust.samples"),
+         static_cast<double>(d.robust_samples),
          static_cast<double>(rep.samples));
-    book("robust.p95", snap.counter("robust.p95"), rep.p95, rep.p95);
-    book("robust.worst", snap.counter("robust.worst"), rep.worst,
+    book("robust.p95", run.counters.counter("robust.p95"), rep.p95, rep.p95);
+    book("robust.worst", run.counters.counter("robust.worst"), rep.worst,
          rep.worst);
-    if (book.ok && !o.quiet)
-      std::cout << "reconciled      robust counters == trace == report ("
-                << rep.samples << " samples)\n";
-  }
+    book.agreed = "robust counters == trace == report (" +
+                  std::to_string(rep.samples) + " samples)";
+  };
+  run.title = o.scheme + " robustness on " + std::to_string(o.procs) +
+              " processors";
+  std::ostringstream sub;
+  sub << g.num_tasks() << " tasks, slack " << fmt(o.slack, 2) << ", "
+      << rep.samples << " perturbed samples, p95 "
+      << fmt(rep.p95_over_nominal, 3) << "x nominal";
+  run.subtitle = sub.str();
+  return finish(o, g, run, trace);
+}
 
-  if (!o.quiet) std::cout << obs::text_report(a, &snap);
-
-  if (!o.report_out.empty()) {
-    obs::ReportOptions ro;
-    ro.counters = &snap;
-    std::ostringstream sub;
-    sub << g.num_tasks() << " tasks, slack " << fmt(o.slack, 2) << ", "
-        << rep.samples << " perturbed samples, p95 "
-        << fmt(rep.p95_over_nominal, 3) << "x nominal";
-    ro.subtitle = sub.str();
-    if (!write_report(o, g, plan.schedule, a, ro,
-                      o.scheme + " robustness on " +
-                          std::to_string(o.procs) + " processors"))
-      return 2;
+/// False, after the error, unless \p res completed with a valid executed
+/// schedule.
+bool recovered(const RecoveryResult& res, const TaskGraph& g,
+               const CommModel& comm) {
+  if (!res.completed) {
+    err() << "recovery gave up after " << res.rounds
+          << " round(s): " << res.error;
+    return false;
   }
-  return book.ok ? 0 : 1;
+  const std::string diag = res.executed.validate(g, comm);
+  if (!diag.empty()) {
+    err() << "recovered schedule invalid: " << diag;
+    return false;
+  }
+  return true;
 }
 
 /// `--straggler-rate k`: executes the workload under a seeded processor
@@ -609,12 +781,11 @@ int run_robustness_mode(const Options& o, const TaskGraph& g,
 /// code enforces recovered makespan <= ratio x the clean plan. Returns
 /// the process exit code.
 int run_straggler_mode(const Options& o, const TaskGraph& g,
-                       const Cluster& cluster) {
+                       const Cluster& cluster, TraceOut& trace) {
   const CommModel comm(cluster);
 
   RecoveryOptions ro;
   ro.planner.locbs.slack_factor = o.slack;
-  ro.perturb = nullptr;
   ro.straggler_threshold = o.straggler_rate;
   ro.straggler_mitigation = o.mitigation == "replan"
                                 ? StragglerMitigation::kReplan
@@ -635,13 +806,10 @@ int run_straggler_mode(const Options& o, const TaskGraph& g,
   const FaultPlan no_faults(cluster.processors, {});
 
   obs::MetricsRegistry met;
-  obs::ObsContext ctx{&met, nullptr};
-  TraceOut trace;
-  if (!trace.open(o.obs_out, ctx)) return 2;
+  obs::ObsContext ctx{&met, trace.sink()};
   ro.perturb = &plan;
   ro.obs = &ctx;
-  const RecoveryResult res = run_with_faults(g, cluster, no_faults, ro);
-  trace.close(met);
+  RecoveryResult res = run_with_faults(g, cluster, no_faults, ro);
 
   if (!o.quiet)
     std::cout << "straggler mode  " << plan.slowdowns().size()
@@ -649,94 +817,66 @@ int run_straggler_mode(const Options& o, const TaskGraph& g,
               << "x, detect at " << fmt(o.straggler_rate, 2)
               << "x modeled, mitigation " << o.mitigation << ", slack "
               << fmt(o.slack, 2) << "\n";
-  if (!res.completed) {
-    err() << "recovery gave up after " << res.rounds
-          << " round(s): " << res.error;
-    return 1;
-  }
-  const std::string diag = res.executed.validate(g, comm);
-  if (!diag.empty()) {
-    err() << "recovered schedule invalid: " << diag;
-    return 1;
-  }
+  if (!recovered(res, g, comm)) return 1;
 
-  obs::ScheduleAnalysis a = obs::analyze_schedule(g, res.executed, comm);
-  const obs::MetricsSnapshot snap = met.snapshot();
-  join_perturbation(a, plan);
-
-  Books book{"result"};
-  if (!o.obs_out.empty()) {
-    std::ifstream in(o.obs_out);
-    if (!in) {
-      err() << "cannot read trace " << o.obs_out;
-      return 1;
-    }
-    const auto records = obs::read_trace(in);
-    const auto digest = obs::summarize_trace(records, a.num_tasks);
-    obs::join_trace(a, digest);
+  ModeRun run;
+  run.schedule = std::move(res.executed);
+  run.counters = trace.counters(met);
+  run.analysis = obs::analyze_schedule(g, run.schedule, comm);
+  join_perturbation(run.analysis, plan);
+  run.reconcile = [&](Books& book, const obs::TraceSummary& d) {
     // Mitigation accounting reconciles across all three books; the
     // perturbation exposure across two (the final clean round is the only
     // obs-attached simulation, and RecoveryResult does not re-expose it).
-    book("mitigation.stragglers", snap.counter("mitigation.stragglers"),
-         static_cast<double>(digest.mitigation_stragglers),
+    const obs::MetricsSnapshot& c = run.counters;
+    book.third = "result";
+    book("mitigation.stragglers", c.counter("mitigation.stragglers"),
+         static_cast<double>(d.mitigation_stragglers),
          static_cast<double>(res.stragglers));
-    book("mitigation.speculations", snap.counter("mitigation.speculations"),
-         static_cast<double>(digest.mitigation_speculations),
+    book("mitigation.speculations", c.counter("mitigation.speculations"),
+         static_cast<double>(d.mitigation_speculations),
          static_cast<double>(res.speculations));
-    book("mitigation.replans", snap.counter("mitigation.replans"),
-         static_cast<double>(digest.mitigation_replans),
+    book("mitigation.replans", c.counter("mitigation.replans"),
+         static_cast<double>(d.mitigation_replans),
          static_cast<double>(res.straggler_replans));
-    book("mitigation.wasted_seconds",
-         snap.counter("mitigation.wasted_seconds"),
-         digest.mitigation_wasted_s, res.mitigation_wasted_seconds);
-    book("perturb.slowed_tasks", snap.counter("perturb.slowed_tasks"),
-         static_cast<double>(digest.perturb_slow_events),
-         snap.counter("perturb.slowed_tasks"));
-    book("perturb.stretch_seconds", snap.counter("perturb.stretch_seconds"),
-         digest.perturb_stretch_s, snap.counter("perturb.stretch_seconds"));
-    if (book.ok && !o.quiet)
-      std::cout << "reconciled      mitigation counters == trace == result; "
-                   "perturb counters == trace\n";
-  }
+    book("mitigation.wasted_seconds", c.counter("mitigation.wasted_seconds"),
+         d.mitigation_wasted_s, res.mitigation_wasted_seconds);
+    book("perturb.slowed_tasks", c.counter("perturb.slowed_tasks"),
+         static_cast<double>(d.perturb_slow_events),
+         c.counter("perturb.slowed_tasks"));
+    book("perturb.stretch_seconds", c.counter("perturb.stretch_seconds"),
+         d.perturb_stretch_s, c.counter("perturb.stretch_seconds"));
+    book.agreed =
+        "mitigation counters == trace == result; perturb counters == trace";
+  };
+  run.intro = "makespan        clean plan " + fmt(res.planned_makespan, 3) +
+              " s, recovered " + fmt(res.makespan, 3) + " s (" +
+              fmt(res.makespan / std::max(1e-9, res.planned_makespan), 3) +
+              "x)\n";
+  run.title = "loc-mps under stragglers on " + std::to_string(o.procs) +
+              " processors";
+  std::ostringstream sub;
+  sub << g.num_tasks() << " tasks, " << fmt(o.slow_factor, 2)
+      << "x slowdown, detect at " << fmt(o.straggler_rate, 2)
+      << "x, mitigation " << o.mitigation << ", realized makespan "
+      << fmt(res.makespan, 3) << " s (planned "
+      << fmt(res.planned_makespan, 3) << " s)";
+  run.subtitle = sub.str();
 
-  if (!o.quiet) {
-    std::cout << "makespan        clean plan " << fmt(res.planned_makespan, 3)
-              << " s, recovered " << fmt(res.makespan, 3) << " s ("
-              << fmt(res.makespan / std::max(1e-9, res.planned_makespan), 3)
-              << "x)\n";
-    std::cout << obs::text_report(a, &snap);
+  const int rc = finish(o, g, run, trace);
+  if (rc == 2 || o.gate_ratio <= 0.0) return rc;
+  if (res.stragglers == 0) {
+    err() << "gate failed: no straggler was detected — the gate proves "
+             "nothing";
+    return 1;
   }
-
-  if (!o.report_out.empty()) {
-    obs::ReportOptions ropt;
-    ropt.counters = &snap;
-    std::ostringstream sub;
-    sub << g.num_tasks() << " tasks, " << fmt(o.slow_factor, 2)
-        << "x slowdown, detect at " << fmt(o.straggler_rate, 2)
-        << "x, mitigation " << o.mitigation << ", realized makespan "
-        << fmt(res.makespan, 3) << " s (planned "
-        << fmt(res.planned_makespan, 3) << " s)";
-    ropt.subtitle = sub.str();
-    if (!write_report(o, g, res.executed, a, ropt,
-                      "loc-mps under stragglers on " +
-                          std::to_string(o.procs) + " processors"))
-      return 2;
+  if (res.makespan > o.gate_ratio * res.planned_makespan) {
+    err() << "gate failed: recovered makespan " << fmt(res.makespan, 3)
+          << " s exceeds " << fmt(o.gate_ratio, 2) << " x clean plan "
+          << fmt(res.planned_makespan, 3) << " s";
+    return 1;
   }
-
-  if (o.gate_ratio > 0.0) {
-    if (res.stragglers == 0) {
-      err() << "gate failed: no straggler was detected — the gate proves "
-               "nothing";
-      return 1;
-    }
-    if (res.makespan > o.gate_ratio * res.planned_makespan) {
-      err() << "gate failed: recovered makespan " << fmt(res.makespan, 3)
-            << " s exceeds " << fmt(o.gate_ratio, 2) << " x clean plan "
-            << fmt(res.planned_makespan, 3) << " s";
-      return 1;
-    }
-  }
-  return book.ok ? 0 : 1;
+  return rc;
 }
 
 /// Executes the workload under injected fail-stop failures, recovers with
@@ -744,7 +884,7 @@ int run_straggler_mode(const Options& o, const TaskGraph& g,
 /// across its three independent books: the metrics counters, the decision
 /// trace, and the RecoveryResult. Returns the process exit code.
 int run_fault_mode(const Options& o, const TaskGraph& g,
-                   const Cluster& cluster) {
+                   const Cluster& cluster, TraceOut& trace) {
   const CommModel comm(cluster);
 
   // Failures land inside the busy part of the schedule: the horizon is a
@@ -760,89 +900,57 @@ int run_fault_mode(const Options& o, const TaskGraph& g,
   const FaultPlan plan = make_fault_plan(cluster.processors, fpp);
 
   obs::MetricsRegistry met;
-  obs::ObsContext ctx{&met, nullptr};
-  TraceOut trace;
-  if (!trace.open(o.obs_out, ctx)) return 2;
-
+  obs::ObsContext ctx{&met, trace.sink()};
   RecoveryOptions ro;
   ro.policy = o.fault_policy == "retry" ? RecoveryPolicy::kRetryInPlace
                                         : RecoveryPolicy::kDegradedReplan;
   ro.obs = &ctx;
-  const RecoveryResult res = run_with_faults(g, cluster, plan, ro);
-  trace.close(met);
+  RecoveryResult res = run_with_faults(g, cluster, plan, ro);
 
   if (!o.quiet)
     std::cout << "fault mode      rate " << fmt(o.fault_rate, 2) << ", "
               << plan.events().size() << " failure(s) injected, policy "
               << o.fault_policy
               << (o.fault_repair ? ", repairs on" : ", no repairs") << "\n";
-  if (!res.completed) {
-    err() << "recovery gave up after " << res.rounds
-          << " round(s): " << res.error;
-    return 1;
-  }
-  const std::string diag = res.executed.validate(g, comm);
-  if (!diag.empty()) {
-    err() << "recovered schedule invalid: " << diag;
-    return 1;
-  }
+  if (!recovered(res, g, comm)) return 1;
 
-  obs::ScheduleAnalysis a = obs::analyze_schedule(g, res.executed, comm);
-  const obs::MetricsSnapshot snap = met.snapshot();
-  join_fault_plan(a, plan);
-
-  Books book{"result"};
-  if (!o.obs_out.empty()) {
-    std::ifstream in(o.obs_out);
-    if (!in) {
-      err() << "cannot read trace " << o.obs_out;
-      return 1;
-    }
-    const auto records = obs::read_trace(in);
-    const auto digest = obs::summarize_trace(records, a.num_tasks);
-    obs::join_trace(a, digest);
-    book("fault.kills", snap.counter("fault.kills"),
-         static_cast<double>(digest.fault_kills),
-         static_cast<double>(res.kills));
-    book("fault.transfer_timeouts",
-         snap.counter("fault.transfer_timeouts"),
-         static_cast<double>(digest.fault_transfer_timeouts),
+  ModeRun run;
+  run.schedule = std::move(res.executed);
+  run.counters = trace.counters(met);
+  run.analysis = obs::analyze_schedule(g, run.schedule, comm);
+  join_fault_plan(run.analysis, plan);
+  run.reconcile = [&](Books& book, const obs::TraceSummary& d) {
+    const obs::MetricsSnapshot& c = run.counters;
+    book.third = "result";
+    book("fault.kills", c.counter("fault.kills"),
+         static_cast<double>(d.fault_kills), static_cast<double>(res.kills));
+    book("fault.transfer_timeouts", c.counter("fault.transfer_timeouts"),
+         static_cast<double>(d.fault_transfer_timeouts),
          static_cast<double>(res.transfer_timeouts));
-    book("fault.wasted_proc_seconds",
-         snap.counter("fault.wasted_proc_seconds"), digest.fault_wasted_s,
-         res.wasted_proc_seconds);
-    book("recovery.retries", snap.counter("recovery.retries"),
-         static_cast<double>(digest.recovery_retries),
+    book("fault.wasted_proc_seconds", c.counter("fault.wasted_proc_seconds"),
+         d.fault_wasted_s, res.wasted_proc_seconds);
+    book("recovery.retries", c.counter("recovery.retries"),
+         static_cast<double>(d.recovery_retries),
          static_cast<double>(res.retries));
-    book("recovery.replans", snap.counter("recovery.replans"),
-         static_cast<double>(digest.recovery_replans),
+    book("recovery.replans", c.counter("recovery.replans"),
+         static_cast<double>(d.recovery_replans),
          static_cast<double>(res.replans));
     // The final clean round is the only simulated round with observability
     // attached, so the analyzer's remote volume must equal both books.
-    book("remote volume", snap.counter("sim.remote_bytes"),
-         digest.transfer_bytes, a.locality.remote_bytes);
-    if (book.ok && !o.quiet)
-      std::cout << "reconciled      fault/recovery counters == trace == "
-                   "result; analyzer remote volume == sim counters\n";
-  }
-
-  if (!o.quiet) std::cout << obs::text_report(a, &snap);
-
-  if (!o.report_out.empty()) {
-    obs::ReportOptions ropt;
-    ropt.counters = &snap;
-    std::ostringstream sub;
-    sub << g.num_tasks() << " tasks, fault rate " << fmt(o.fault_rate, 2)
-        << ", policy " << o.fault_policy << ", realized makespan "
-        << fmt(res.makespan, 3) << " s (planned "
-        << fmt(res.planned_makespan, 3) << " s)";
-    ropt.subtitle = sub.str();
-    if (!write_report(o, g, res.executed, a, ropt,
-                      "loc-mps under faults on " +
-                          std::to_string(o.procs) + " processors"))
-      return 2;
-  }
-  return book.ok ? 0 : 1;
+    book("remote volume", c.counter("sim.remote_bytes"), d.transfer_bytes,
+         run.analysis.locality.remote_bytes);
+    book.agreed = "fault/recovery counters == trace == result; analyzer "
+                  "remote volume == sim counters";
+  };
+  run.title = "loc-mps under faults on " + std::to_string(o.procs) +
+              " processors";
+  std::ostringstream sub;
+  sub << g.num_tasks() << " tasks, fault rate " << fmt(o.fault_rate, 2)
+      << ", policy " << o.fault_policy << ", realized makespan "
+      << fmt(res.makespan, 3) << " s (planned "
+      << fmt(res.planned_makespan, 3) << " s)";
+  run.subtitle = sub.str();
+  return finish(o, g, run, trace);
 }
 
 }  // namespace
@@ -857,167 +965,13 @@ int main(int argc, char** argv) {
     const Cluster cluster(o.procs, o.bandwidth_mbps * 1e6 / 8.0, o.overlap);
 
     if (!o.diff_a.empty()) return run_diff_mode(o, g);
-    if (o.robustness > 0) return run_robustness_mode(o, g, cluster);
-    if (o.straggler_rate > 0.0) return run_straggler_mode(o, g, cluster);
-    if (o.fault_rate > 0.0) return run_fault_mode(o, g, cluster);
-
-    SchedulerOptions sched_opt;
-      sched_opt.perturb_task = o.perturb_task;
-    sched_opt.slack_factor = o.slack;
-    const bool want_profile = o.profile || !o.flame_out.empty() ||
-                              !o.report_out.empty();
-    std::optional<obs::Profiler> profiler;
-    if (want_profile) profiler.emplace();
-    obs::Profiler* const prof = profiler ? &*profiler : nullptr;
-    SchemeRun run;
-    if (!o.obs_out.empty()) {
-      std::ofstream jsonl(o.obs_out);
-      if (!jsonl) {
-        err() << "cannot open " << o.obs_out;
-        return 2;
-      }
-      obs::JsonlSink sink(jsonl);
-      run = evaluate_scheme(o.scheme, g, cluster, {}, &sink, sched_opt,
-                            prof);
-    } else {
-      run = evaluate_scheme(o.scheme, g, cluster, {}, nullptr, sched_opt,
-                            prof);
-    }
-    obs::ProfileSnapshot prof_snap;
-    if (profiler) prof_snap = profiler->snapshot();
-
-    bool reconciled = true;
-    if (!o.obs_out.empty())
-      reconciled = join_and_reconcile(run, o.obs_out, o.quiet);
-    else if (!o.trace_in.empty())
-      reconciled = join_and_reconcile(run, o.trace_in, o.quiet);
-
-    // Final decision per task (last "locbs.decision" record), feeding
-    // --explain, --why-critical and the report's "Why" panel.
-    std::vector<obs::PlacementDecision> decisions;
-    {
-      const std::string& tp = !o.obs_out.empty() ? o.obs_out : o.trace_in;
-      if (!tp.empty()) {
-        std::ifstream in(tp);
-        if (in)
-          decisions =
-              obs::final_decisions(obs::read_trace(in), g.num_tasks());
-      }
-    }
-
-    if (!o.quiet) {
-      std::cout << "scheme          " << o.scheme << " on " << o.procs
-                << " procs (" << fmt(o.bandwidth_mbps, 0) << " Mbps, "
-                << (o.overlap ? "overlap" : "no overlap") << "), "
-                << g.num_tasks() << "-task workload\n";
-      std::cout << "planning        " << fmt(run.scheduling_seconds, 6)
-                << " s\n";
-      std::cout << obs::text_report(run.analysis, &run.counters);
-    }
-
-    for (TaskId t : o.explain) {
-      if (t >= g.num_tasks()) {
-        err() << "--explain task " << t << " out of range (graph has "
-              << g.num_tasks() << " tasks)";
-        return 2;
-      }
-      std::cout << "\nwhy task " << t << ":\n";
-      obs::print_decision(
-          std::cout, g,
-          t < decisions.size() ? decisions[t] : obs::PlacementDecision{});
-    }
-
-    if (o.why_critical) {
-      std::cout << "\nwhy-critical: decision records along the critical "
-                   "path (source -> makespan task)\n";
-      for (const obs::CriticalPathStep& st :
-           run.analysis.critical_path.steps) {
-        std::cout << "\n-- compute " << fmt(st.compute_s, 4) << " s";
-        if (st.redist_s > 0.0)
-          std::cout << ", redistribution in " << fmt(st.redist_s, 4)
-                    << " s";
-        if (st.wait_s > 0.0)
-          std::cout << ", wait " << fmt(st.wait_s, 4) << " s";
-        std::cout << "\n";
-        for (const obs::TaskBlame& b : run.analysis.blame) {
-          if (b.task != st.task || b.delay_s <= 0.0 ||
-              b.culprit == kNoTask)
-            continue;
-          std::cout << "   start delayed " << fmt(b.delay_s, 4)
-                    << " s by task " << b.culprit << " ("
-                    << g.task(b.culprit).name << ")\n";
-          break;
-        }
-        obs::print_decision(
-            std::cout, g,
-            st.task < decisions.size() ? decisions[st.task]
-                                       : obs::PlacementDecision{});
-      }
-    }
-
-    bool profile_ok = true;
-    if (o.profile) {
-      std::cout << "\nplanner self-profile (span taxonomy: "
-                   "docs/observability.md)\n";
-      obs::write_profile_tree(std::cout, prof_snap);
-      if (prof_snap.intervals_dropped > 0)
-        std::cout << "dropped         " << prof_snap.intervals_dropped
-                  << " span intervals (the log keeps "
-                  << obs::Profiler::kMaxIntervals
-                  << " per span node; the counts above are complete)\n";
-      const obs::ProfileNode* plan = prof_snap.find("harness.plan");
-      if (plan == nullptr) {
-        err() << "profile has no harness.plan span";
-        profile_ok = false;
-      } else {
-        // Acceptance check: the span tree must reconcile with the
-        // harness's own scheduling-time measurement within 2%.
-        const double measured = run.scheduling_seconds;
-        const double diff = std::fabs(plan->wall_s - measured);
-        const double tol = 0.02 * std::max(measured, 1e-9);
-        if (diff > tol) {
-          err() << "profile/stopwatch mismatch: harness.plan "
-                << fmt(plan->wall_s, 6) << " s vs scheduling time "
-                << fmt(measured, 6) << " s (diff " << fmt(diff, 6)
-                << " s > 2%)";
-          profile_ok = false;
-        } else {
-          std::cout << "reconciled      harness.plan "
-                    << fmt(plan->wall_s, 6) << " s == planning "
-                    << fmt(measured, 6) << " s (within 2%)\n";
-        }
-      }
-    }
-
-    if (!o.flame_out.empty()) {
-      std::ofstream flame(o.flame_out);
-      if (!flame) {
-        err() << "cannot open " << o.flame_out;
-        return 2;
-      }
-      obs::write_collapsed_stacks(flame, prof_snap, o.flame_weight);
-      if (!o.quiet)
-        std::cout << "flamegraph      " << o.flame_out
-                  << " (collapsed stacks; fold with flamegraph.pl or "
-                     "load in speedscope)\n";
-    }
-
-    if (!o.report_out.empty()) {
-      obs::ReportOptions ropt;
-      std::ostringstream sub;
-      sub << g.num_tasks() << " tasks, " << g.num_edges() << " edges, "
-          << fmt(o.bandwidth_mbps, 0) << " Mbps "
-          << (o.overlap ? "overlap" : "no-overlap") << " platform";
-      ropt.subtitle = sub.str();
-      if (!prof_snap.empty()) ropt.profile = &prof_snap;
-      ropt.counters = &run.counters;
-      if (decisions.size() == g.num_tasks()) ropt.decisions = &decisions;
-      if (!write_report(o, g, run.schedule, run.analysis, ropt,
-                        o.scheme + " schedule on " +
-                            std::to_string(o.procs) + " processors"))
-        return 2;
-    }
-    return reconciled && profile_ok ? 0 : 1;
+    TraceOut trace;
+    if (!trace.open(o.obs_out)) return 2;
+    if (o.robustness > 0) return run_robustness_mode(o, g, cluster, trace);
+    if (o.straggler_rate > 0.0)
+      return run_straggler_mode(o, g, cluster, trace);
+    if (o.fault_rate > 0.0) return run_fault_mode(o, g, cluster, trace);
+    return run_plain_mode(o, g, cluster, trace);
   } catch (const std::exception& e) {
     err() << e.what();
     return 2;
