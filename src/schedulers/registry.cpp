@@ -53,7 +53,12 @@ SchedulerPtr make_scheduler(const std::string& name,
   if (name == "tsas") return std::make_unique<TSASScheduler>();
   if (name == "sa") return std::make_unique<AnnealingScheduler>();
   if (name == "twol") return std::make_unique<TwoLScheduler>();
-  if (name == "task") return std::make_unique<TaskParallelScheduler>();
+  if (name == "task") {
+    LocBSOptions opt;
+    opt.perturb_task = sopt.perturb_task;
+    opt.slack_factor = sopt.slack_factor;
+    return std::make_unique<TaskParallelScheduler>(opt);
+  }
   if (name == "data") return std::make_unique<DataParallelScheduler>();
   throw std::invalid_argument("make_scheduler: unknown scheme '" + name +
                               "'");

@@ -23,9 +23,11 @@ namespace locmps {
 /// Throws std::invalid_argument for unknown names.
 SchedulerPtr make_scheduler(const std::string& name);
 
-/// Same, applying scheme-independent knobs (SchedulerOptions) to the
-/// LoC-MPS-backed schemes (loc-mps, loc-mps-nbf, loc-mps-noloc, icaslb);
-/// the other schemes ignore them.
+/// Same, applying the scheme-independent knobs of SchedulerOptions: the
+/// LoC-MPS-backed schemes (loc-mps, loc-mps-nbf, loc-mps-noloc, icaslb)
+/// take all four, "task" takes slack_factor and perturb_task, and the
+/// others ("sa", "data" and the list-scheduling baselines cpr, cpa, tsas,
+/// twol) ignore them.
 SchedulerPtr make_scheduler(const std::string& name,
                             const SchedulerOptions& opt);
 

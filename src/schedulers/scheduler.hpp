@@ -22,17 +22,18 @@ using Allocation = std::vector<std::size_t>;
 /// (make_scheduler) to every scheduler that supports them.
 struct SchedulerOptions {
   /// Slack-aware placement: forwarded to LocBSOptions::slack_factor by
-  /// every LoCBS-backed scheme. Inflates modeled execution times during
-  /// the hole scan so schedules carry headroom against performance faults
+  /// the LoC-MPS-backed schemes (loc-mps, loc-mps-nbf, loc-mps-noloc,
+  /// icaslb) and by "task". Inflates modeled execution times during the
+  /// hole scan so schedules carry headroom against performance faults
   /// (see schedulers/locbs.hpp). 1.0 = the paper's tight packing; ignored
-  /// by schemes without LoCBS.
+  /// by "sa", "data" and the list-scheduling baselines.
   double slack_factor = 1.0;
 
   /// Seeded-divergence hook: forwarded to LocBSOptions::perturb_task by
-  /// every LoCBS-backed scheme (see schedulers/locbs.hpp). The named task
-  /// adopts the distinct runner-up of its final placement scan, giving
-  /// differential attribution (obs/rundiff.hpp) a controlled single-flip
-  /// run to diff against. Ignored by schemes without LoCBS.
+  /// the same schemes as slack_factor (see schedulers/locbs.hpp). The
+  /// named task adopts the distinct runner-up of its final placement
+  /// scan, giving differential attribution (obs/rundiff.hpp) a controlled
+  /// single-flip run to diff against. Ignored by the other schemes.
   TaskId perturb_task = kNoTask;
 
   /// Incremental replanning (docs/incremental.md): LoC-MPS-backed schemes

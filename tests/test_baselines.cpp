@@ -212,6 +212,31 @@ TEST(Registry, ThrowsOnUnknownScheme) {
   EXPECT_THROW(make_scheduler(""), std::invalid_argument);
 }
 
+/// The registry's "task" takes the LoCBS knobs of SchedulerOptions: with
+/// slack 1.25 it plans exactly what TaskParallelScheduler plans with that
+/// slack, which on this graph differs from the tight plan.
+TEST(Registry, TaskSchemeTakesSlack) {
+  const TaskGraph g = small_graph(3, 0.5, 8);
+  const Cluster c(8);
+  SchedulerOptions so;
+  so.slack_factor = 1.25;
+  LocBSOptions lo;
+  lo.slack_factor = 1.25;
+  const SchedulerResult reg = make_scheduler("task", so)->schedule(g, c);
+  const SchedulerResult direct = TaskParallelScheduler(lo).schedule(g, c);
+  EXPECT_EQ(reg.estimated_makespan, direct.estimated_makespan);
+  for (TaskId t : g.task_ids()) {
+    const Placement& a = reg.schedule.at(t);
+    const Placement& b = direct.schedule.at(t);
+    EXPECT_EQ(a.busy_from, b.busy_from) << "task " << t;
+    EXPECT_EQ(a.start, b.start) << "task " << t;
+    EXPECT_EQ(a.finish, b.finish) << "task " << t;
+    EXPECT_TRUE(a.procs == b.procs) << "task " << t;
+  }
+  EXPECT_NE(reg.estimated_makespan,
+            make_scheduler("task")->schedule(g, c).estimated_makespan);
+}
+
 TEST(Registry, PaperSchemesLineUp) {
   const auto schemes = paper_schemes();
   ASSERT_EQ(schemes.size(), 6u);
