@@ -69,13 +69,11 @@ SchemeRun evaluate_scheme(const std::string& scheme, const TaskGraph& g,
   const double plan_time = sw.seconds();
   metrics.set("scheduler.plan_seconds", plan_time);
 
-  // Iterations: the instrumented counter when the scheme reported one
-  // (LoC-MPS-backed schemes bump locmps.locbs_calls), else the
-  // scheduler's own ad-hoc report — exposed uniformly as
-  // "scheduler.iterations" so every SchemeRun sources it the same way.
-  double iters = metrics.value("locmps.locbs_calls");
-  if (iters <= 0.0) iters = static_cast<double>(planned.iterations);
-  metrics.set("scheduler.iterations", iters);
+  // Every scheme reports its own iterations (a LoC-MPS-backed plan's
+  // equal the locmps.locbs_calls it adds); the counter exposes them beside
+  // the run's other counters.
+  metrics.set("scheduler.iterations",
+              static_cast<double>(planned.iterations));
 
   const CommModel comm(cluster);
   // Schemes that do not orchestrate locality transfer full volumes
@@ -102,8 +100,7 @@ SchemeRun evaluate_scheme(const std::string& scheme, const TaskGraph& g,
   run.estimated = planned.estimated_makespan;
   run.scheduling_seconds = plan_time;
   run.counters = metrics.snapshot();
-  run.iterations = static_cast<std::size_t>(
-      run.counters.counter("scheduler.iterations"));
+  run.iterations = planned.iterations;
   run.allocation = std::move(planned.allocation);
   run.schedule = std::move(executed.executed);
 

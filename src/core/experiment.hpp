@@ -31,9 +31,10 @@ struct SchemeRun {
   double makespan = 0.0;         ///< event-simulated (realized) makespan
   double estimated = 0.0;        ///< the scheduler's own estimate
   double scheduling_seconds = 0.0;  ///< wall-clock planning overhead
-  /// Refinement iterations, sourced from the run's counters
-  /// ("scheduler.iterations"): the instrumented LoCBS-call count for
-  /// LoC-MPS-backed schemes, the scheduler's own report otherwise.
+  /// Refinement iterations as the scheduler reports them
+  /// (SchedulerResult::iterations, also the "scheduler.iterations"
+  /// counter): for LoC-MPS-backed schemes the charged LoCBS calls, which
+  /// equal the plan's "locmps.locbs_calls".
   std::size_t iterations = 0;
   Allocation allocation;
   Schedule schedule;

@@ -119,11 +119,11 @@ TEST(Experiment, NonLocalitySchemesChargedFullVolumes) {
 }
 
 TEST(Experiment, EveryPaperSchemeReportsIterationsFromCounters) {
-  // SchemeRun::iterations is sourced from the per-run metrics registry
-  // ("scheduler.iterations"): the instrumented LoCBS-call count where one
-  // exists (loc-mps, and icaslb via its inner allocator — its scheduler
-  // reports 0 itself), the scheduler's own report otherwise. It must be
-  // at least 1 for every paper scheme.
+  // SchemeRun::iterations is the scheduler's own report, exposed as the
+  // "scheduler.iterations" counter. It must be at least 1 for every paper
+  // scheme, and for the LoC-MPS-backed ones (loc-mps, and icaslb, which
+  // returns its inner plan's result) it equals the LoCBS calls the plan
+  // counted in "locmps.locbs_calls".
   SyntheticParams p;
   p.ccr = 0.5;
   p.max_procs = 4;
@@ -137,6 +137,11 @@ TEST(Experiment, EveryPaperSchemeReportsIterationsFromCounters) {
               static_cast<std::size_t>(
                   run.counters.counter("scheduler.iterations")))
         << s;
+    if (s == "loc-mps" || s == "icaslb")
+      EXPECT_EQ(run.iterations,
+                static_cast<std::size_t>(
+                    run.counters.counter("locmps.locbs_calls")))
+          << s;
   }
 }
 
