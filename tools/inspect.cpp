@@ -29,6 +29,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 
 #include "core/experiment.hpp"
 #include "faults/recovery.hpp"
@@ -99,11 +100,14 @@ void usage(std::ostream& os) {
         "  --slow-factor <x>      injected slowdown magnitude (default "
         "4)\n"
         "  --slack <f>            LoCBS slack factor >= 1: inflate\n"
-        "                         reservations during placement (default "
-        "1)\n"
+        "                         reservations during placement, in every\n"
+        "                         mode (default 1)\n"
         "  --gate-ratio <r>       straggler mode: exit 1 unless the\n"
         "                         recovered makespan is <= r x the clean\n"
         "                         planned makespan\n"
+        "  The fault-like modes (--fault-rate, --straggler-rate,\n"
+        "  --robustness) refuse --explain, --why-critical, --trace,\n"
+        "  --perturb-task, --profile and --flame-out.\n"
         "\n"
         "Provenance and run diffing (docs/observability.md):\n"
         "  --explain <task>       print the task's placement decision\n"
@@ -120,7 +124,7 @@ void usage(std::ostream& os) {
         "                         artifact as JSON\n"
         "  --perturb-task <t>     seeded divergence: task t adopts its\n"
         "                         runner-up slot in the final LoCBS pass\n"
-        "                         (LoCBS-backed schemes only)\n"
+        "                         (loc-mps, its variants, icaslb and task)\n"
         "\n"
         "Outputs:\n"
         "  --report-out <file>    write the self-contained HTML report\n"
@@ -184,190 +188,155 @@ struct Options {
 /// Shorthand for this tool's error diagnostics (obs/log.hpp).
 obs::LogLine err() { return obs::log(obs::LogLevel::kError, "inspect"); }
 
+/// Reads a --flame-weight value into \p w; false, after the error, when
+/// it names no weight.
+bool parse_flame_weight(const std::string& v, obs::FlameWeight& w) {
+  if (v != "wall" && v != "cpu" && v != "alloc") {
+    err() << "--flame-weight must be 'wall', 'cpu' or 'alloc'";
+    return false;
+  }
+  w = v == "wall"  ? obs::FlameWeight::kWallMicros
+      : v == "cpu" ? obs::FlameWeight::kCpuMicros
+                   : obs::FlameWeight::kAllocBytes;
+  return true;
+}
+
+/// Applies a --log-level value; false, after the error, when it names no
+/// level.
+bool apply_log_level(const std::string& v) {
+  obs::LogLevel level = obs::LogLevel::kInfo;
+  if (!obs::parse_log_level(v, level)) {
+    err() << "--log-level must be error, warn, info or debug";
+    return false;
+  }
+  obs::set_log_level(level);
+  return true;
+}
+
+/// False, after the error and the usage text, for an unknown argument.
+bool unknown(const std::string& a) {
+  err() << "unknown argument '" << a << "' (--help for usage)";
+  usage(std::cerr);
+  return false;
+}
+
 std::optional<Options> parse(int argc, char** argv) {
   Options o;
-  auto need = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      err() << flag << " needs a value";
-      return nullptr;
-    }
-    return argv[++i];
-  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    const char* v = nullptr;
     if (a == "--help" || a == "-h") {
       usage(std::cout);
       std::exit(0);
-    } else if (a == "--graph") {
-      if ((v = need(i, "--graph")) == nullptr) return std::nullopt;
-      o.graph_file = v;
-    } else if (a == "--seed") {
-      if ((v = need(i, "--seed")) == nullptr) return std::nullopt;
-      o.seed = std::strtoull(v, nullptr, 10);
-    } else if (a == "--ccr") {
-      if ((v = need(i, "--ccr")) == nullptr) return std::nullopt;
-      o.ccr = std::strtod(v, nullptr);
-    } else if (a == "--procs") {
-      if ((v = need(i, "--procs")) == nullptr) return std::nullopt;
-      o.procs = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-    } else if (a == "--bandwidth-mbps") {
-      if ((v = need(i, "--bandwidth-mbps")) == nullptr) return std::nullopt;
-      o.bandwidth_mbps = std::strtod(v, nullptr);
-    } else if (a == "--no-overlap") {
-      o.overlap = false;
-    } else if (a == "--scheme") {
-      if ((v = need(i, "--scheme")) == nullptr) return std::nullopt;
-      o.scheme = v;
-    } else if (a == "--fault-rate") {
-      if ((v = need(i, "--fault-rate")) == nullptr) return std::nullopt;
-      o.fault_rate = std::strtod(v, nullptr);
-    } else if (a == "--fault-seed") {
-      if ((v = need(i, "--fault-seed")) == nullptr) return std::nullopt;
-      o.fault_seed = std::strtoull(v, nullptr, 10);
-    } else if (a == "--fault-repair") {
-      o.fault_repair = true;
-    } else if (a == "--fault-policy") {
-      if ((v = need(i, "--fault-policy")) == nullptr) return std::nullopt;
-      o.fault_policy = v;
-    } else if (a == "--report-out") {
-      if ((v = need(i, "--report-out")) == nullptr) return std::nullopt;
-      o.report_out = v;
-    } else if (a == "--obs-out") {
-      if ((v = need(i, "--obs-out")) == nullptr) return std::nullopt;
-      o.obs_out = v;
-    } else if (a == "--trace") {
-      if ((v = need(i, "--trace")) == nullptr) return std::nullopt;
-      o.trace_in = v;
-    } else if (a == "--profile") {
-      o.profile = true;
-    } else if (a == "--flame-out") {
-      if ((v = need(i, "--flame-out")) == nullptr) return std::nullopt;
-      o.flame_out = v;
-    } else if (a == "--flame-weight") {
-      if ((v = need(i, "--flame-weight")) == nullptr) return std::nullopt;
-      const std::string w = v;
-      if (w == "wall") {
-        o.flame_weight = obs::FlameWeight::kWallMicros;
-      } else if (w == "cpu") {
-        o.flame_weight = obs::FlameWeight::kCpuMicros;
-      } else if (w == "alloc") {
-        o.flame_weight = obs::FlameWeight::kAllocBytes;
-      } else {
-        err() << "--flame-weight must be 'wall', 'cpu' or 'alloc'";
-        return std::nullopt;
-      }
-    } else if (a == "--log-level") {
-      if ((v = need(i, "--log-level")) == nullptr) return std::nullopt;
-      obs::LogLevel level = obs::LogLevel::kInfo;
-      if (!obs::parse_log_level(v, level)) {
-        err() << "--log-level must be error, warn, info or debug";
-        return std::nullopt;
-      }
-      obs::set_log_level(level);
-    } else if (a == "--title") {
-      if ((v = need(i, "--title")) == nullptr) return std::nullopt;
-      o.title = v;
-    } else if (a == "--quiet") {
-      o.quiet = true;
-    } else if (a == "--explain") {
-      if ((v = need(i, "--explain")) == nullptr) return std::nullopt;
-      o.explain.push_back(
-          static_cast<TaskId>(std::strtoull(v, nullptr, 10)));
-    } else if (a == "--why-critical") {
-      o.why_critical = true;
-    } else if (a == "--diff") {
-      if ((v = need(i, "--diff")) == nullptr) return std::nullopt;
-      o.diff_a = v;
-      if ((v = need(i, "--diff")) == nullptr) return std::nullopt;
-      o.diff_b = v;
-    } else if (a == "--diff-json") {
-      if ((v = need(i, "--diff-json")) == nullptr) return std::nullopt;
-      o.diff_json = v;
-    } else if (a == "--perturb-task") {
-      if ((v = need(i, "--perturb-task")) == nullptr) return std::nullopt;
-      o.perturb_task =
-          static_cast<TaskId>(std::strtoull(v, nullptr, 10));
-    } else if (a == "--robustness") {
-      if ((v = need(i, "--robustness")) == nullptr) return std::nullopt;
-      o.robustness = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-    } else if (a == "--straggler-rate") {
-      if ((v = need(i, "--straggler-rate")) == nullptr) return std::nullopt;
-      o.straggler_rate = std::strtod(v, nullptr);
-    } else if (a == "--mitigation") {
-      if ((v = need(i, "--mitigation")) == nullptr) return std::nullopt;
-      o.mitigation = v;
-    } else if (a == "--slow-factor") {
-      if ((v = need(i, "--slow-factor")) == nullptr) return std::nullopt;
-      o.slow_factor = std::strtod(v, nullptr);
-    } else if (a == "--slack") {
-      if ((v = need(i, "--slack")) == nullptr) return std::nullopt;
-      o.slack = std::strtod(v, nullptr);
-    } else if (a == "--gate-ratio") {
-      if ((v = need(i, "--gate-ratio")) == nullptr) return std::nullopt;
-      o.gate_ratio = std::strtod(v, nullptr);
-    } else if (a == "--version") {
+    }
+    if (a == "--version") {
       std::cout << "locmps-inspect " << LOCMPS_GIT_DESCRIBE << "\n";
       std::exit(0);
-    } else {
-      err() << "unknown argument '" << a << "' (--help for usage)";
-      usage(std::cerr);
-      return std::nullopt;
     }
+    // Stores the value that follows flag `a` in `out`, as text or as a
+    // number of out's type; false, after the error, when there is none.
+    auto value = [&](auto& out) {
+      if (i + 1 >= argc) {
+        err() << a << " needs a value";
+        return false;
+      }
+      const char* v = argv[++i];
+      using T = std::remove_reference_t<decltype(out)>;
+      if constexpr (std::is_same_v<T, std::string>)
+        out = v;
+      else if constexpr (std::is_floating_point_v<T>)
+        out = std::strtod(v, nullptr);
+      else
+        out = static_cast<T>(std::strtoull(v, nullptr, 10));
+      return true;
+    };
+    std::string w;
+    bool ok = true;
+    if (a == "--graph") ok = value(o.graph_file);
+    else if (a == "--seed") ok = value(o.seed);
+    else if (a == "--ccr") ok = value(o.ccr);
+    else if (a == "--procs") ok = value(o.procs);
+    else if (a == "--bandwidth-mbps") ok = value(o.bandwidth_mbps);
+    else if (a == "--no-overlap") o.overlap = false;
+    else if (a == "--scheme") ok = value(o.scheme);
+    else if (a == "--fault-rate") ok = value(o.fault_rate);
+    else if (a == "--fault-seed") ok = value(o.fault_seed);
+    else if (a == "--fault-repair") o.fault_repair = true;
+    else if (a == "--fault-policy") ok = value(o.fault_policy);
+    else if (a == "--report-out") ok = value(o.report_out);
+    else if (a == "--obs-out") ok = value(o.obs_out);
+    else if (a == "--trace") ok = value(o.trace_in);
+    else if (a == "--profile") o.profile = true;
+    else if (a == "--flame-out") ok = value(o.flame_out);
+    else if (a == "--flame-weight")
+      ok = value(w) && parse_flame_weight(w, o.flame_weight);
+    else if (a == "--log-level") ok = value(w) && apply_log_level(w);
+    else if (a == "--title") ok = value(o.title);
+    else if (a == "--quiet") o.quiet = true;
+    else if (a == "--explain") ok = value(o.explain.emplace_back());
+    else if (a == "--why-critical") o.why_critical = true;
+    else if (a == "--diff") ok = value(o.diff_a) && value(o.diff_b);
+    else if (a == "--diff-json") ok = value(o.diff_json);
+    else if (a == "--perturb-task") ok = value(o.perturb_task);
+    else if (a == "--robustness") ok = value(o.robustness);
+    else if (a == "--straggler-rate") ok = value(o.straggler_rate);
+    else if (a == "--mitigation") ok = value(o.mitigation);
+    else if (a == "--slow-factor") ok = value(o.slow_factor);
+    else if (a == "--slack") ok = value(o.slack);
+    else if (a == "--gate-ratio") ok = value(o.gate_ratio);
+    else ok = unknown(a);
+    if (!ok) return std::nullopt;
   }
-  if (o.procs == 0) {
-    err() << "--procs must be positive";
+
+  auto reject = [](const char* why) {
+    err() << why;
     return std::nullopt;
-  }
-  if (o.fault_rate < 0.0 || o.fault_rate > 1.0) {
-    err() << "--fault-rate must be in [0, 1]";
-    return std::nullopt;
-  }
-  if (o.fault_policy != "replan" && o.fault_policy != "retry") {
-    err() << "--fault-policy must be 'replan' or 'retry'";
-    return std::nullopt;
-  }
+  };
+  if (o.procs == 0) return reject("--procs must be positive");
+  if (o.fault_rate < 0.0 || o.fault_rate > 1.0)
+    return reject("--fault-rate must be in [0, 1]");
+  if (o.fault_policy != "replan" && o.fault_policy != "retry")
+    return reject("--fault-policy must be 'replan' or 'retry'");
   // 0.0 is the exact flag-unset sentinel. LINT-ALLOW(float-eq)
-  if (o.straggler_rate != 0.0 && o.straggler_rate <= 1.0) {
-    err() << "--straggler-rate must be > 1 (detection fires at k x the "
-             "modeled time)";
-    return std::nullopt;
-  }
-  if (o.mitigation != "speculate" && o.mitigation != "replan") {
-    err() << "--mitigation must be 'speculate' or 'replan'";
-    return std::nullopt;
-  }
-  if (o.slow_factor < 1.0) {
-    err() << "--slow-factor must be >= 1";
-    return std::nullopt;
-  }
-  if (o.slack < 1.0) {
-    err() << "--slack must be >= 1";
-    return std::nullopt;
-  }
-  if (o.gate_ratio < 0.0) {
-    err() << "--gate-ratio must be positive";
-    return std::nullopt;
-  }
+  if (o.straggler_rate != 0.0 && o.straggler_rate <= 1.0)
+    return reject(
+        "--straggler-rate must be > 1 (detection fires at k x the modeled "
+        "time)");
+  if (o.mitigation != "speculate" && o.mitigation != "replan")
+    return reject("--mitigation must be 'speculate' or 'replan'");
+  if (o.slow_factor < 1.0) return reject("--slow-factor must be >= 1");
+  if (o.slack < 1.0) return reject("--slack must be >= 1");
+  if (o.gate_ratio < 0.0) return reject("--gate-ratio must be positive");
   // 0.0 is the exact flag-unset sentinel. LINT-ALLOW(float-eq)
-  if (o.gate_ratio > 0.0 && o.straggler_rate == 0.0) {
-    err() << "--gate-ratio needs --straggler-rate";
-    return std::nullopt;
-  }
-  if (o.robustness > 0 && o.straggler_rate > 0.0) {
-    err() << "--robustness and --straggler-rate are separate modes";
+  if (o.gate_ratio > 0.0 && o.straggler_rate == 0.0)
+    return reject("--gate-ratio needs --straggler-rate");
+  if (o.robustness > 0 && o.straggler_rate > 0.0)
+    return reject("--robustness and --straggler-rate are separate modes");
+  // The fault-like modes read no decision records (their plans are
+  // replanned or re-timed), plan without the perturb hook and attach no
+  // profiler: refuse the flags they would drop. --diff runs no schedule
+  // and takes the same workload flags as the trace run it compares.
+  const char* mode = o.robustness > 0         ? "--robustness"
+                     : o.straggler_rate > 0.0 ? "--straggler-rate"
+                     : o.fault_rate > 0.0     ? "--fault-rate"
+                                              : nullptr;
+  const char* dropped = !o.explain.empty()          ? "--explain"
+                        : o.why_critical            ? "--why-critical"
+                        : !o.trace_in.empty()       ? "--trace"
+                        : o.perturb_task != kNoTask ? "--perturb-task"
+                        : o.profile                 ? "--profile"
+                        : !o.flame_out.empty()      ? "--flame-out"
+                                                    : nullptr;
+  if (mode != nullptr && dropped != nullptr && o.diff_a.empty()) {
+    err() << dropped << " does not apply to the " << mode << " mode";
     return std::nullopt;
   }
   if ((!o.explain.empty() || o.why_critical) && o.obs_out.empty() &&
-      o.trace_in.empty()) {
-    err() << "--explain/--why-critical need a decision trace: add "
-             "--obs-out <file> or --trace <file>";
-    return std::nullopt;
-  }
-  if (!o.diff_json.empty() && o.diff_a.empty()) {
-    err() << "--diff-json needs --diff <A> <B>";
-    return std::nullopt;
-  }
+      o.trace_in.empty())
+    return reject(
+        "--explain/--why-critical need a decision trace: add --obs-out "
+        "<file> or --trace <file>");
+  if (!o.diff_json.empty() && o.diff_a.empty())
+    return reject("--diff-json needs --diff <A> <B>");
   return o;
 }
 
@@ -887,10 +856,15 @@ int run_fault_mode(const Options& o, const TaskGraph& g,
                    const Cluster& cluster, TraceOut& trace) {
   const CommModel comm(cluster);
 
+  RecoveryOptions ro;
+  ro.planner.locbs.slack_factor = o.slack;
+  ro.policy = o.fault_policy == "retry" ? RecoveryPolicy::kRetryInPlace
+                                        : RecoveryPolicy::kDegradedReplan;
+
   // Failures land inside the busy part of the schedule: the horizon is a
   // fraction of the fault-free planned makespan.
-  const LocMPSScheduler probe;
-  const double base = probe.schedule(g, cluster).estimated_makespan;
+  const double base =
+      LocMPSScheduler(ro.planner).schedule(g, cluster).estimated_makespan;
   FaultPlanParams fpp;
   fpp.fail_fraction = o.fault_rate;
   fpp.horizon_s = std::max(1e-6, 0.6 * base);
@@ -901,9 +875,6 @@ int run_fault_mode(const Options& o, const TaskGraph& g,
 
   obs::MetricsRegistry met;
   obs::ObsContext ctx{&met, trace.sink()};
-  RecoveryOptions ro;
-  ro.policy = o.fault_policy == "retry" ? RecoveryPolicy::kRetryInPlace
-                                        : RecoveryPolicy::kDegradedReplan;
   ro.obs = &ctx;
   RecoveryResult res = run_with_faults(g, cluster, plan, ro);
 
