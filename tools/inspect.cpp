@@ -673,7 +673,8 @@ int run_robustness_mode(const Options& o, const TaskGraph& g,
 
   SchedulerOptions sched_opt;
   sched_opt.slack_factor = o.slack;
-  SchedulerResult plan = make_scheduler(o.scheme, sched_opt)->schedule(g, cluster);
+  SchedulerResult plan =
+      make_scheduler(o.scheme, sched_opt)->schedule(g, cluster);
 
   RobustnessOptions ropt;
   ropt.samples = o.robustness;
